@@ -95,6 +95,13 @@ func run(baselinePath, in string, tolerance float64) error {
 	if err != nil {
 		return err
 	}
+	return gate(os.Stdout, base, measured, tolerance, baselinePath)
+}
+
+// gate compares every measured family against its baseline. Each family's
+// table is printed even when an earlier family failed, so one CI log shows
+// every drift; the first family's error is returned.
+func gate(w io.Writer, base baseline, measured map[string]map[string]float64, tolerance float64, baselinePath string) error {
 	families := []struct {
 		name string
 		base map[string]baselineEntry
@@ -103,21 +110,25 @@ func run(baselinePath, in string, tolerance float64) error {
 		{"SnapshotRestore", base.SnapshotRestore},
 	}
 	matched := 0
+	var first error
 	for _, fam := range families {
 		got := measured[fam.name]
 		if len(got) == 0 {
 			continue
 		}
 		matched++
-		fmt.Fprintf(os.Stdout, "— %s —\n", fam.name)
-		if err := compare(os.Stdout, fam.base, got, tolerance, baselinePath); err != nil {
-			return err
+		fmt.Fprintf(w, "— %s —\n", fam.name)
+		if err := compare(w, fam.base, got, tolerance, baselinePath); err != nil {
+			fmt.Fprintf(w, "%s: %v\n", fam.name, err)
+			if first == nil {
+				first = fmt.Errorf("%s: %w", fam.name, err)
+			}
 		}
 	}
 	if matched == 0 {
 		return fmt.Errorf("no BenchmarkEngineTick or BenchmarkSnapshotRestore results in input")
 	}
-	return nil
+	return first
 }
 
 // compare reports every measured sub-benchmark against the baseline. Gated

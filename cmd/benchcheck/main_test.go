@@ -76,3 +76,26 @@ PASS
 		t.Errorf("parseBench SnapshotRestore = %v", got["SnapshotRestore"])
 	}
 }
+
+// TestGateReportsEveryFamily pins that a failing family does not hide the
+// ones after it: both tables print, and the first family's error returns.
+func TestGateReportsEveryFamily(t *testing.T) {
+	base := baseline{
+		EngineTick:      map[string]baselineEntry{"saturated": {After: 100.0}},
+		SnapshotRestore: map[string]baselineEntry{"snapshot": {After: 10.0}},
+	}
+	measured := map[string]map[string]float64{
+		"EngineTick":      {"saturated": 300.0},
+		"SnapshotRestore": {"snapshot": 10.5},
+	}
+	var out strings.Builder
+	err := gate(&out, base, measured, 0.25, "BENCH_tick.json")
+	if err == nil || !strings.HasPrefix(err.Error(), "EngineTick: ") {
+		t.Fatalf("want the EngineTick failure, got %v", err)
+	}
+	for _, want := range []string{"— EngineTick —", "— SnapshotRestore —", "snapshot"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output is missing %q:\n%s", want, out.String())
+		}
+	}
+}

@@ -10,7 +10,7 @@
 // Usage:
 //
 //	ccbench [-config volta|small] [-scale quick|full] [-seed N]
-//	        [-only fig10,table2,...] [-parallel N] [-engine-workers N]
+//	        [-only fig10,table2,...] [-parallel N]
 //	        [-check] [-csv DIR] [-metrics DIR] [-telemetry DIR]
 //	        [-checkpoint-dir DIR] [-gpus N] [-topology full|ring|nvswitch]
 //	ccbench -list
@@ -23,14 +23,6 @@
 // docs/EXPERIMENTS.md, so a bare `ccbench` reproduces the documented
 // outputs.
 //
-// -engine-workers selects the engine's sharded parallel tick loop (see
-// docs/ARCHITECTURE.md, "Parallel engine"). The default of 0 resolves to 1
-// here — the experiment pool already saturates the machine, so nesting
-// engine workers under it would only oversubscribe — while an explicit
-// count is passed through to every experiment's engines. The engine is
-// state-identical at every worker count, so the report does not change
-// either way; CI diffs the two to prove it.
-//
 // -metrics DIR attaches a probe registry to every experiment and writes one
 // <id>.metrics.json and <id>.metrics.csv per experiment into DIR. The files
 // are deterministic: byte-identical across runs and at any -parallel
@@ -40,11 +32,10 @@
 // -checkpoint-dir DIR enables the content-addressed result cache: each
 // completed experiment is stored under its cache key — (config hash, config
 // name, suite seed, experiment id, scale, observer flags) — and a later run
-// with the same key is served from disk without simulating. Worker knobs
-// (-parallel, -engine-workers) are deliberately not part of the key: results
-// are identical at every worker count, so a warm run renders byte-identically
-// to the cold run that populated the cache. Failed experiments are never
-// cached.
+// with the same key is served from disk without simulating. -parallel is
+// deliberately not part of the key: results are identical at every setting,
+// so a warm run renders byte-identically to the cold run that populated the
+// cache. Failed experiments are never cached.
 //
 // -telemetry DIR attaches a windowed telemetry sampler (with a paper-rate
 // covert-channel detector watching) to every experiment and writes one
@@ -99,7 +90,6 @@ func main() {
 	telemetryDir := flag.String("telemetry", "", "directory to write per-experiment telemetry window/event JSONL streams into (created if missing)")
 	checkpointDir := flag.String("checkpoint-dir", "", "directory for the content-addressed result cache; repeated runs with the same key are served from it without simulating")
 	parallel := flag.Int("parallel", 0, "experiments to run concurrently (0 = GOMAXPROCS)")
-	engineWorkers := flag.Int("engine-workers", 0, "engine tick-loop workers per simulated GPU (0 = sequential: the experiment pool already fills the machine)")
 	gpus := flag.Int("gpus", 0, "GPUs per simulated mesh for the cross-GPU experiments (0 = their default of 2)")
 	topology := flag.String("topology", "", "NVLink mesh topology: full, ring, or nvswitch (empty = config default)")
 	check := flag.Bool("check", false, "also assert each experiment's paper-shape Check")
@@ -140,16 +130,6 @@ func main() {
 			os.Exit(2)
 		}
 		cfg.NVLink.Topology = topo
-	}
-
-	// Worker-count selection never affects results (the sharded engine is
-	// state-identical at every count), so this is purely a scheduling
-	// choice: explicit counts pass through, automatic stays sequential
-	// because the experiment pool is the outer source of parallelism.
-	if *engineWorkers > 0 {
-		cfg.EngineWorkers = *engineWorkers
-	} else {
-		cfg.EngineWorkers = 1
 	}
 
 	opt := experiments.Options{Seed: *seed}

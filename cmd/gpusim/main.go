@@ -6,7 +6,7 @@
 // Usage:
 //
 //	gpusim [-config volta|small] [-arb rr|crr|srr|age] [-sms 0,1] \
-//	       [-ops 20] [-warps 4] [-read] [-seed N] [-engine-workers N] \
+//	       [-ops 20] [-warps 4] [-read] [-seed N] \
 //	       [-trace out.json] [-watch N] [-gpus N] [-topology full|ring|nvswitch] \
 //	       [-snapshot-at N -snapshot-file f.snap | -restore f.snap]
 //
@@ -38,11 +38,6 @@
 // the run executes. It is the interactive face of internal/telemetry's
 // windowed sampler; like -trace it implies probe instrumentation. Windows
 // with no link activity are not printed.
-//
-// -engine-workers selects the engine's sharded parallel tick loop (0, the
-// default, is GOMAXPROCS-aware; results are identical at every setting).
-// Tracing and watching imply probe instrumentation, so -trace and -watch
-// runs always use the sequential engine regardless of this flag.
 package main
 
 import (
@@ -91,7 +86,6 @@ func main() {
 	warps := flag.Int("warps", 4, "warps per activated SM")
 	read := flag.Bool("read", false, "issue reads instead of writes")
 	seed := flag.Int64("seed", 1, "deterministic seed")
-	engineWorkers := flag.Int("engine-workers", 0, "engine tick-loop workers (0 = GOMAXPROCS-aware; ignored with -trace)")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file (Perfetto-compatible) to this path")
 	watch := flag.Uint64("watch", 0, "print one NoC occupancy line per N-cycle telemetry window to stderr (0 = off)")
 	gpus := flag.Int("gpus", 0, "build an N-GPU NVLink mesh and stream from device 0 into device 1's memory (0/1 = single GPU)")
@@ -121,7 +115,6 @@ func main() {
 		fail(fmt.Errorf("unknown config %q", *cfgName))
 	}
 	cfg.Seed = *seed
-	cfg.EngineWorkers = *engineWorkers
 	switch *arbName {
 	case "rr":
 		cfg.NoC.Arbitration = config.ArbRR
@@ -301,7 +294,6 @@ func runMesh(cfg config.Config, gpus int, targets map[int]bool, warps, ops int, 
 	if err != nil {
 		fail(err)
 	}
-	defer m.Close()
 
 	const span = 8192
 	remoteBase := mesh.DevBase(1)

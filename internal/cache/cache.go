@@ -55,7 +55,10 @@ type Cache struct {
 	lineBytes uint64
 	sets      uint64
 	ways      int
-	lines     []line // sets*ways, row-major by set
+	// lines holds sets*ways slots, row-major by set. It stays nil until
+	// the first Access or Fill: most per-SM L1s are never touched, and an
+	// absent array reads as all lines invalid.
+	lines []line
 
 	mshrs   map[uint64]int // line address -> merged request count
 	mshrCap int
@@ -108,7 +111,6 @@ func New(sizeBytes, lineBytes, ways, mshrs int) (*Cache, error) {
 		lineBytes: uint64(lineBytes),
 		sets:      uint64(sets),
 		ways:      ways,
-		lines:     make([]line, sets*ways),
 		mshrs:     make(map[uint64]int, mshrs),
 		mshrCap:   mshrs,
 	}, nil
@@ -121,11 +123,28 @@ func (c *Cache) setOf(lineAddr uint64) uint64 { return (lineAddr / c.lineBytes) 
 
 func (c *Cache) slot(set uint64, way int) *line { return &c.lines[set*uint64(c.ways)+uint64(way)] }
 
+// numLines returns the slot count, whether or not lines is allocated yet.
+func (c *Cache) numLines() int { return int(c.sets) * c.ways }
+
+// touch allocates the line array on first use. The allocation lives in
+// its own function so this check inlines into Access and Fill.
+func (c *Cache) touch() {
+	if c.lines == nil {
+		c.allocLines()
+	}
+}
+
+func (c *Cache) allocLines() {
+	//lint:allow hotalloc runs once per cache, on its first access
+	c.lines = make([]line, c.numLines())
+}
+
 // Access looks up addr. On a hit the line's recency is updated (and marked
 // dirty for writes). On a miss an MSHR is allocated (Miss) or merged
 // (MissMerged); Stall means the MSHR file is full. The caller is responsible
 // for calling Fill once the memory fetch returns.
 func (c *Cache) Access(addr uint64, write bool) Result {
+	c.touch()
 	la := c.LineAddr(addr)
 	set := c.setOf(la)
 	c.useTick++
@@ -170,6 +189,9 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 // Probe reports whether addr is resident without touching recency or
 // counters (used by tests and the prime+probe baseline channel).
 func (c *Cache) Probe(addr uint64) bool {
+	if c.lines == nil {
+		return false
+	}
 	la := c.LineAddr(addr)
 	set := c.setOf(la)
 	for w := 0; w < c.ways; w++ {
@@ -186,6 +208,7 @@ func (c *Cache) Probe(addr uint64) bool {
 // dirty line was evicted (requiring a writeback). Filling an address with no
 // pending MSHR is allowed (preloads use it) and returns waiters == 0.
 func (c *Cache) Fill(addr uint64, write bool) (waiters int, writeback bool) {
+	c.touch()
 	la := c.LineAddr(addr)
 	if n, ok := c.mshrs[la]; ok {
 		waiters = n
@@ -233,6 +256,9 @@ func (c *Cache) Fill(addr uint64, write bool) (waiters int, writeback bool) {
 // Invalidate drops the line containing addr if resident, returning whether
 // it was dirty.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
+	if c.lines == nil {
+		return false, false
+	}
 	la := c.LineAddr(addr)
 	set := c.setOf(la)
 	for w := 0; w < c.ways; w++ {

@@ -11,9 +11,18 @@ import (
 // tag/valid/dirty/recency, the MSHR file (sorted by line address), the
 // recency tick, and
 // the activity counters — to the encoder. Geometry is not encoded: the
-// restoring side rebuilds the cache from the same configuration.
+// restoring side rebuilds the cache from the same configuration. A cache
+// whose line array was never allocated encodes as all lines invalid.
 func (c *Cache) Snapshot(e *snap.Encoder) {
-	e.Int(len(c.lines))
+	e.Int(c.numLines())
+	if c.lines == nil {
+		for i := 0; i < c.numLines(); i++ {
+			e.Bool(false)
+			e.Bool(false)
+			e.U64(0)
+			e.U64(0)
+		}
+	}
 	for i := range c.lines {
 		l := &c.lines[i]
 		e.Bool(l.valid)
@@ -43,9 +52,10 @@ func (c *Cache) Snapshot(e *snap.Encoder) {
 // Restore reads state written by Snapshot into a cache built from the same
 // configuration.
 func (c *Cache) Restore(d *snap.Decoder) error {
-	if n := d.Int(); n != len(c.lines) {
-		return fmt.Errorf("%w: snapshot holds %d cache lines, cache has %d", snap.ErrCorrupt, n, len(c.lines))
+	if n := d.Int(); n != c.numLines() {
+		return fmt.Errorf("%w: snapshot holds %d cache lines, cache has %d", snap.ErrCorrupt, n, c.numLines())
 	}
+	c.touch()
 	for i := range c.lines {
 		l := &c.lines[i]
 		l.valid = d.Bool()

@@ -273,17 +273,13 @@ type Config struct {
 	// and is ignored by Validate.
 	ExhaustiveTick bool
 
-	// EngineWorkers selects how many workers the engine's sharded parallel
-	// tick loop may use. 0 (the default) is GOMAXPROCS-aware automatic
-	// selection; 1 forces the classic single-goroutine tick loop; higher
-	// values are capped at the topology's shard count (max of NumGPCs and
-	// NumMCs). Whatever the setting, the engine clamps to 1 when
-	// ExhaustiveTick is set (the reference mode is the single-goroutine
-	// loop by definition) or when Probes is non-nil (probe instruments are
-	// deliberately lock-free and shared across components). The sharded
-	// engine is state-identical to the sequential one at every worker
-	// count — see docs/DETERMINISM.md — so like Meter and Probes this knob
-	// never influences simulation results and is ignored by Validate.
+	// EngineWorkers is ignored: the engine always runs its single-goroutine
+	// tick loop. It is excluded from Hash and ignored by Validate.
+	//
+	// Deprecated: the sharded multi-worker tick loop was removed because its
+	// per-cycle barrier cost more than the work it split. Scale by running
+	// independent simulations in parallel (experiments.Runner.Parallel, the
+	// job server's workers).
 	EngineWorkers int
 
 	// Meter, when non-nil, accumulates the number of simulated cycles
@@ -309,10 +305,8 @@ type Config struct {
 	// internal/telemetry documents. Copies of the Config share the pointer,
 	// so the window timeline is continuous across every engine instance
 	// built from one configuration. Requires Probes to be set — engine.New
-	// rejects a sampler with no registry to aggregate — and therefore
-	// inherits the probe contract with the parallel engine (EngineWorkers
-	// clamps to 1). Like Probes it never influences simulation behavior and
-	// is ignored by Validate.
+	// rejects a sampler with no registry to aggregate. Like Probes it never
+	// influences simulation behavior and is ignored by Validate.
 	Telemetry *telemetry.Sampler
 }
 

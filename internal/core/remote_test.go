@@ -13,7 +13,6 @@ func TestNVLinkTransmissionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
 	p := Params{Kind: NVLinkChannel}
 	if _, err := NewNVLinkTransmission(m, 0, 1, nil, p); err == nil {
 		t.Error("empty payload should fail")
@@ -48,7 +47,6 @@ func TestNVLinkChannelEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
 	tr, err := NewNVLinkTransmission(m, 0, 1, payload, p)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +85,6 @@ func TestNVLinkChannelDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer m.Close()
 		tr, err := NewNVLinkTransmission(m, 0, 1, AlternatingPayload(16, 2), Params{Kind: NVLinkChannel, Seed: 5})
 		if err != nil {
 			t.Fatal(err)

@@ -12,87 +12,62 @@ import (
 // (same Seed, jitters enabled so every noise source is exercised) must
 // evolve identically — same partition stats and clock readings at every
 // checkpoint over a few thousand cycles, and identical per-warp latency
-// traces and kernel durations at the end. The instances span the worker
-// matrix {1, 2, 4, 8} (with the single-worker build duplicated to keep the
-// original run-to-run check), so the lockstep comparison also pins that the
-// sharded parallel engine is state-identical to the sequential one at every
-// checkpoint, not just at the end of a run.
+// traces and kernel durations at the end.
 func TestEngineDeterminismSameConfig(t *testing.T) {
 	cfg := config.Small() // keeps the Volta jitters: noise must derive from Seed alone
 	cfg.Seed = 42
 
 	type instance struct {
-		workers int
-		g       *GPU
-		progs   map[[2]int]*device.Streamer
-		k       *Kernel
+		g     *GPU
+		progs map[[2]int]*device.Streamer
+		k     *Kernel
 	}
-	build := func(workers int) instance {
-		c := cfg
-		c.EngineWorkers = workers
-		g := mkGPU(t, c)
-		if workers >= 2 && g.Workers() < 2 {
-			t.Fatalf("EngineWorkers=%d resolved to %d workers; parallel engine not engaged", workers, g.Workers())
-		}
+	build := func() instance {
+		g := mkGPU(t, cfg)
 		preloadStreamers(g, 8)
 		spec, progs := streamerKernel("det", 4, 2, 25, true, true, cfg.L2LineBytes)
 		k, err := g.Launch(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return instance{workers: workers, g: g, progs: progs, k: k}
+		return instance{g: g, progs: progs, k: k}
 	}
-	insts := make([]instance, 0, 5)
-	for _, w := range []int{1, 1, 2, 4, 8} {
-		inst := build(w)
-		defer inst.g.Close()
-		insts = append(insts, inst)
-	}
-	a := insts[0]
+	a, b := build(), build()
 
 	const step, checkpoints = 250, 20 // 5000 cycles, compared in lockstep
 	for i := 1; i <= checkpoints; i++ {
 		a.g.RunFor(step)
-		for _, b := range insts[1:] {
-			b.g.RunFor(step)
-			if a.g.Now() != b.g.Now() {
-				t.Fatalf("checkpoint %d (%d workers): clocks diverged: %d vs %d",
-					i, b.workers, a.g.Now(), b.g.Now())
-			}
-			if a.g.Idle() != b.g.Idle() {
-				t.Fatalf("cycle %d (%d workers): idle state diverged", a.g.Now(), b.workers)
-			}
-			sa, sb := a.g.Partition().Stats(), b.g.Partition().Stats()
-			if sa != sb {
-				t.Fatalf("cycle %d (%d workers): partition stats diverged: %+v vs %+v",
-					a.g.Now(), b.workers, sa, sb)
-			}
-			for sm := 0; sm < cfg.NumSMs(); sm++ {
-				ca, cb := a.g.Clocks().Read(sm, a.g.Now()), b.g.Clocks().Read(sm, b.g.Now())
-				if ca != cb {
-					t.Fatalf("cycle %d (%d workers): SM %d clock register diverged: %d vs %d",
-						a.g.Now(), b.workers, sm, ca, cb)
-				}
+		b.g.RunFor(step)
+		if a.g.Now() != b.g.Now() {
+			t.Fatalf("checkpoint %d: clocks diverged: %d vs %d", i, a.g.Now(), b.g.Now())
+		}
+		if a.g.Idle() != b.g.Idle() {
+			t.Fatalf("cycle %d: idle state diverged", a.g.Now())
+		}
+		sa, sb := a.g.Partition().Stats(), b.g.Partition().Stats()
+		if sa != sb {
+			t.Fatalf("cycle %d: partition stats diverged: %+v vs %+v", a.g.Now(), sa, sb)
+		}
+		for sm := 0; sm < cfg.NumSMs(); sm++ {
+			ca, cb := a.g.Clocks().Read(sm, a.g.Now()), b.g.Clocks().Read(sm, b.g.Now())
+			if ca != cb {
+				t.Fatalf("cycle %d: SM %d clock register diverged: %d vs %d", a.g.Now(), sm, ca, cb)
 			}
 		}
 	}
 
 	traced := 0
 	for key, s := range a.progs {
-		for _, b := range insts[1:] {
-			o, ok := b.progs[key]
-			if !ok {
-				t.Fatalf("warp %v missing from %d-worker run", key, b.workers)
-			}
-			if len(s.Latencies) != len(o.Latencies) {
-				t.Fatalf("warp %v (%d workers): latency trace lengths diverged: %d vs %d",
-					key, b.workers, len(s.Latencies), len(o.Latencies))
-			}
-			for i := range s.Latencies {
-				if s.Latencies[i] != o.Latencies[i] {
-					t.Fatalf("warp %v (%d workers): latency %d diverged: %d vs %d",
-						key, b.workers, i, s.Latencies[i], o.Latencies[i])
-				}
+		o, ok := b.progs[key]
+		if !ok {
+			t.Fatalf("warp %v missing from second run", key)
+		}
+		if len(s.Latencies) != len(o.Latencies) {
+			t.Fatalf("warp %v: latency trace lengths diverged: %d vs %d", key, len(s.Latencies), len(o.Latencies))
+		}
+		for i := range s.Latencies {
+			if s.Latencies[i] != o.Latencies[i] {
+				t.Fatalf("warp %v: latency %d diverged: %d vs %d", key, i, s.Latencies[i], o.Latencies[i])
 			}
 		}
 		traced += len(s.Latencies)
@@ -101,14 +76,10 @@ func TestEngineDeterminismSameConfig(t *testing.T) {
 		t.Fatal("no latencies recorded; the workload never exercised the memory path")
 	}
 
-	for _, b := range insts[1:] {
-		if a.k.Running() != b.k.Running() {
-			t.Fatalf("kernel completion diverged at %d workers: running=%v vs %v",
-				b.workers, a.k.Running(), b.k.Running())
-		}
-		if !a.k.Running() && a.k.Duration() != b.k.Duration() {
-			t.Fatalf("kernel durations diverged at %d workers: %d vs %d",
-				b.workers, a.k.Duration(), b.k.Duration())
-		}
+	if a.k.Running() != b.k.Running() {
+		t.Fatalf("kernel completion diverged: running=%v vs %v", a.k.Running(), b.k.Running())
+	}
+	if !a.k.Running() && a.k.Duration() != b.k.Duration() {
+		t.Fatalf("kernel durations diverged: %d vs %d", a.k.Duration(), b.k.Duration())
 	}
 }

@@ -71,13 +71,6 @@ type GPU struct {
 	smSet   *sched.ActiveSet
 	running int
 
-	// Sharded parallel tick loop (see parallel.go). par is nil — and
-	// workers is 1 — when the engine runs the classic single-goroutine
-	// loop: in exhaustive mode, under probes, or when the resolved worker
-	// count is 1. The worker count never influences simulation state.
-	par     *parEngine
-	workers int
-
 	// rmt is the cross-GPU seam (see remote.go): nil on a standalone
 	// device, set by ConnectRemote when the GPU joins a mesh. The hot
 	// paths pay one nil check when unconnected.
@@ -142,13 +135,6 @@ func New(cfg config.Config) (*GPU, error) {
 		for i, s := range g.sms {
 			s.SetWaker(func() { g.smSet.Wake(i) })
 		}
-	}
-	g.workers = resolveWorkers(&g.cfg)
-	if g.workers > 1 {
-		// Sharded mode replaces the global active sets (including smSet's
-		// wakers, rewired per GPC) with per-shard ones; see parallel.go.
-		g.smSet = nil
-		g.par = newParEngine(g, g.workers)
 	}
 	if g.cfg.Telemetry != nil {
 		if g.cfg.Probes == nil {
@@ -260,12 +246,6 @@ func (g *GPU) LaunchAt(at uint64, spec device.KernelSpec) (*Kernel, error) {
 // matching the exhaustive loop); an SM whose warps are all stalled on memory
 // parks itself until a reply or a new warp wakes it.
 func (g *GPU) step() {
-	if g.par != nil {
-		g.par.step()
-		g.updateKernels()
-		g.now++
-		return
-	}
 	if g.smSet == nil {
 		for _, s := range g.sms {
 			s.Tick(g.now)
@@ -299,10 +279,6 @@ func (g *GPU) step() {
 func (g *GPU) quiet() bool {
 	if g.rmt != nil && !g.rmt.boxesEmpty() {
 		return false
-	}
-	if g.par != nil {
-		return g.running == 0 && g.par.smsQuiet() &&
-			g.net.Quiet() && g.part.Quiet()
 	}
 	return g.smSet != nil && g.running == 0 && g.smSet.Empty() &&
 		g.net.Quiet() && g.part.Quiet()
@@ -455,3 +431,15 @@ func (g *GPU) Idle() bool {
 
 // Kernels returns all launches in order.
 func (g *GPU) Kernels() []*Kernel { return g.kernels }
+
+// Workers returns 1: the engine always ticks on the calling goroutine.
+//
+// Deprecated: the sharded multi-worker tick loop was removed; scale by
+// running independent simulations in parallel instead.
+func (g *GPU) Workers() int { return 1 }
+
+// Close is a no-op: a GPU holds no goroutines or other resources beyond
+// its memory, which the garbage collector reclaims.
+//
+// Deprecated: there is nothing to release; callers may drop the call.
+func (g *GPU) Close() {}

@@ -2,17 +2,13 @@
 // instances under one global clock and route packets between them over
 // NVLink-modeled links.
 //
-// The design mirrors the PR-6 shard hand-off boxes (internal/noc/shard.go).
 // A remote-bound request leaves the device at the LSU inject point — before
 // it ever enters the local NoC — into a per-source-GPC outbox; a remote
 // reply leaves at the slice egress point into a per-partition-group outbox.
-// Each outbox has exactly one writer per phase (the GPC task for requests,
-// the partition task for replies), so the sharded tick loop needs no new
-// synchronization, and the coordinator drains the boxes between cycles in a
-// fixed order (requests by ascending GPC then FIFO, replies by ascending
-// partition group then FIFO) that is identical in sequential and sharded
-// modes. Modeling-wise this folds the on-die path between the SM (or slice)
-// and the NVLink port into the link's hop latency: the contention signal a
+// The mesh drains the boxes between cycles in a fixed order (requests by
+// ascending GPC then FIFO, replies by ascending partition group then FIFO).
+// Modeling-wise this folds the on-die path between the SM (or slice) and
+// the NVLink port into the link's hop latency: the contention signal a
 // cross-GPU covert channel measures lives entirely on the NVLink link.
 package engine
 
@@ -29,9 +25,7 @@ type remoteState struct {
 	owner func(addr uint64) int // device owning each global address
 
 	// gpcOfSM maps an SM id to its GPC so pushRequest can route by the
-	// packet's SrcSM (ascending-SM order within a GPC holds in both the
-	// sequential and the sharded tick loop, so box contents are
-	// mode-identical).
+	// packet's SrcSM.
 	gpcOfSM     []int
 	slicesPerMC int
 
@@ -74,8 +68,7 @@ func (g *GPU) ConnectRemote(dev int, owner func(addr uint64) int) error {
 
 // pushRequest stamps a remote-bound request with its source and destination
 // devices and parks it in the source GPC's outbox. Called from the LSU
-// inject path: in sharded mode that is GPC gpcOfSM[p.SrcSM]'s own phase-G
-// task, so the box has a single writer.
+// inject path.
 func (r *remoteState) pushRequest(p *packet.Packet, dst int) {
 	p.SrcDev = r.dev
 	p.DstDev = dst
@@ -84,8 +77,7 @@ func (r *remoteState) pushRequest(p *packet.Packet, dst int) {
 }
 
 // pushReply parks a completed cross-GPU reply in its partition group's
-// outbox. Called from the slice egress path: in sharded mode that is
-// partition group p.Slice/slicesPerMC's own phase-P task.
+// outbox. Called from the slice egress path.
 func (r *remoteState) pushReply(p *packet.Packet) {
 	m := p.Slice / r.slicesPerMC
 	r.repOut[m] = append(r.repOut[m], p)
@@ -109,9 +101,7 @@ func (r *remoteState) boxesEmpty() bool {
 // DrainRemote hands every outbound packet to f in the canonical order —
 // requests by ascending source GPC (FIFO within a box, which is ascending
 // SM issue order), then replies by ascending partition group — and empties
-// the boxes. The mesh calls it on the coordinator goroutine after each
-// device cycle; the order is identical at every worker count because box
-// contents are.
+// the boxes. The mesh calls it after each device cycle.
 func (g *GPU) DrainRemote(f func(p *packet.Packet)) {
 	if g.rmt == nil {
 		return
@@ -133,8 +123,8 @@ func (g *GPU) DrainRemote(f func(p *packet.Packet)) {
 // AcceptRemote delivers an inbound cross-GPU packet: requests enter at the
 // memory partition (the NVLink port hangs off the crossbar edge; the
 // request's on-die traversal is folded into the link's hop latency), and
-// replies are handed straight to the issuing SM. The mesh calls it on the
-// coordinator goroutine between cycles.
+// replies are handed straight to the issuing SM. The mesh calls it between
+// cycles.
 func (g *GPU) AcceptRemote(now uint64, p *packet.Packet) {
 	if g.rmt == nil {
 		panic("engine: AcceptRemote on a device not connected to a mesh")

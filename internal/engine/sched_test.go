@@ -81,14 +81,12 @@ func TestSparseTrafficSkipsIdleComponents(t *testing.T) {
 }
 
 // TestRandomTrafficMatchesExhaustiveTick is the bit-identity regression for
-// the scheduler and the sharded parallel engine: randomized multi-kernel
-// workloads (random seeds, jitters, shapes, launch offsets, warm or cold
-// L2) are run with every component ticked every cycle (the reference),
-// under the activity scheduler, and under the parallel engine at worker
-// counts {2, 4, 8}, and every observable — final cycle, kernel timestamps,
-// per-SM clock registers and counters, per-warp latency traces, slice
-// totals, and the stats of every NoC link — must match exactly across all
-// of them.
+// the activity scheduler: randomized multi-kernel workloads (random seeds,
+// jitters, shapes, launch offsets, warm or cold L2) are run with every
+// component ticked every cycle (the reference) and under the activity
+// scheduler, and every observable — final cycle, kernel timestamps, per-SM
+// clock registers and counters, per-warp latency traces, slice totals, and
+// the stats of every NoC link — must match exactly.
 func TestRandomTrafficMatchesExhaustiveTick(t *testing.T) {
 	type launch struct {
 		at                   uint64
@@ -133,16 +131,11 @@ func TestRandomTrafficMatchesExhaustiveTick(t *testing.T) {
 		}
 		preload := rng.Intn(2) == 0 // cold L2 exercises the DRAM/fill/retry paths
 
-		run := func(exhaustive bool, workers int) observed {
+		run := func(exhaustive bool) observed {
 			t.Helper()
 			cfg := base
 			cfg.ExhaustiveTick = exhaustive
-			cfg.EngineWorkers = workers
 			g := mkGPU(t, cfg)
-			defer g.Close()
-			if workers >= 2 && g.Workers() < 2 {
-				t.Fatalf("EngineWorkers=%d resolved to %d workers; parallel engine not engaged", workers, g.Workers())
-			}
 			if preload {
 				preloadStreamers(g, maxWarps)
 			}
@@ -194,13 +187,10 @@ func TestRandomTrafficMatchesExhaustiveTick(t *testing.T) {
 			return o
 		}
 
-		exhaustive := run(true, 1)
-		for _, workers := range []int{1, 2, 4, 8} {
-			got := run(false, workers)
-			if !reflect.DeepEqual(got, exhaustive) {
-				t.Fatalf("round %d (seed %d, jitters %d/%d, preload %v, %d kernels): %d-worker run diverges from exhaustive reference\ngot:        %+v\nexhaustive: %+v",
-					round, base.Seed, base.WarpIssueJitter, base.L2ServiceJitter, preload, len(plan), workers, got, exhaustive)
-			}
+		exhaustive := run(true)
+		if got := run(false); !reflect.DeepEqual(got, exhaustive) {
+			t.Fatalf("round %d (seed %d, jitters %d/%d, preload %v, %d kernels): activity-scheduled run diverges from exhaustive reference\ngot:        %+v\nexhaustive: %+v",
+				round, base.Seed, base.WarpIssueJitter, base.L2ServiceJitter, preload, len(plan), got, exhaustive)
 		}
 	}
 }

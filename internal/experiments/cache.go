@@ -4,9 +4,9 @@
 // field of a Result the Report/metrics/telemetry renderers consume is plain
 // JSON (float64/uint64 round-trip exactly through encoding/json), a warm
 // run renders byte-identically to the cold run that populated the cache.
-// Worker knobs (Runner.Parallel, Config.EngineWorkers) are deliberately
-// absent from the key — results are identical at every worker count, which
-// is exactly what the determinism CI pins.
+// Runner.Parallel is deliberately absent from the key — results are
+// identical at every parallelism, which is exactly what the determinism CI
+// pins.
 package experiments
 
 import (
@@ -27,7 +27,7 @@ import (
 type CacheKey struct {
 	// ConfigHash is config.Config.Hash() of the suite's base configuration
 	// with the Seed zeroed — the seed travels separately in Seed, and
-	// observer/worker knobs are excluded by Hash itself.
+	// observer knobs are excluded by Hash itself.
 	ConfigHash uint64 `json:"config_hash"`
 	// ConfigName is the human-readable configuration name ("small",
 	// "volta"); informational, but part of the key so listings stay

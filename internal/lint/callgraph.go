@@ -2,7 +2,7 @@
 // go/ast + go/types (no golang.org/x/tools — the module stays
 // dependency-free). The graph is deliberately conservative: it over-
 // approximates the dynamic call relation so that reachability-based
-// analyzers (shardsafety, hotalloc) never miss a path, at the cost of some
+// analyzers (hotalloc) never miss a path, at the cost of some
 // spurious edges. Edges come from five sources:
 //
 //  1. static calls — a call whose callee resolves through types.Info to a

@@ -1,10 +1,9 @@
 // The hotalloc analyzer generalizes the engine's two testing.AllocsPerRun
 // spot checks into whole-call-graph coverage: every function reachable from
 // the steady-state tick roots (Rules.HotAlloc.Roots — engine.(*GPU).step and
-// the component Tick methods) is scanned for allocation sites. The sharded
-// engine's scaling argument depends on the per-cycle path staying allocation
-// free — a single make or interface boxing inside link.Tick shows up as GC
-// pressure that the worker-count benchmarks attribute to contention.
+// the component Tick methods) is scanned for allocation sites. The per-cycle
+// path must stay allocation free — a single make or interface boxing inside
+// link.Tick shows up as GC pressure on every simulated cycle.
 //
 // Flagged site kinds:
 //
@@ -288,4 +287,25 @@ func isBuiltin(info *types.Info, fun ast.Expr, name string) bool {
 	}
 	b, ok := info.Uses[id].(*types.Builtin)
 	return ok && b.Name() == name
+}
+
+// rootIdent unwraps selectors, indexes, derefs, and parens to the leftmost
+// identifier of an lvalue chain.
+func rootIdent(e ast.Expr) (*ast.Ident, bool) {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x, true
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		default:
+			return nil, false
+		}
+	}
 }

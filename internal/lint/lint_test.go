@@ -52,7 +52,7 @@ func render(t *testing.T, root string, diags []Diagnostic) string {
 func TestFixtures(t *testing.T) {
 	for _, name := range []string{
 		"layering", "determinism", "tickmodel", "purity", "godoc", "allowdirectives",
-		"shardsafety", "hotalloc",
+		"hotalloc",
 	} {
 		t.Run(name, func(t *testing.T) {
 			root, diags := loadFixture(t, name)

@@ -2,23 +2,17 @@
 // tick loop drives every component from a fixed order, and cross-component
 // communication happens through synchronous callbacks inside the tick. So in
 // the engine and every package below it, goroutines, channels, selects, and
-// the sync/sync-atomic packages are banned outright. Two sanctioned tiers
-// are declared in the rule table, neither needing waiver comments:
-//
-//   - AtomicAllow (config.CycleMeter, the shared cycle counter that never
-//     influences simulation behavior): the type's declaration and methods
-//     may use sync/atomic;
-//   - ParallelFiles (the engine-parallel tier: internal/engine/parallel.go,
-//     the sharded tick loop's worker pool): the whole file is exempt,
-//     because it is where the engine's one piece of synchronization — the
-//     phase barrier — lives. The rest of its package stays banned.
+// the sync/sync-atomic packages are banned outright. The one sanctioned
+// exception is declared in the rule table and needs no waiver comment:
+// AtomicAllow (config.CycleMeter, the shared cycle counter that never
+// influences simulation behavior) lets that type's declaration and methods
+// use sync/atomic.
 
 package lint
 
 import (
 	"go/ast"
 	"go/token"
-	"path/filepath"
 	"strconv"
 )
 
@@ -49,9 +43,6 @@ func runTickModel(pass *Pass) {
 	}
 
 	for _, f := range pass.Pkg.Files {
-		if isParallelFile(pass, f) {
-			continue
-		}
 		for _, imp := range f.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
 			if err != nil || !bannedImports[path] {
@@ -93,18 +84,6 @@ func runTickModel(pass *Pass) {
 			return true
 		})
 	}
-}
-
-// isParallelFile reports whether f is a ParallelFiles entry for this
-// package — the engine-parallel tier, exempt from the tick-model bans.
-func isParallelFile(pass *Pass, f *ast.File) bool {
-	base := filepath.Base(pass.Pkg.Fset.Position(f.Pos()).Filename)
-	for _, ref := range pass.Rules.TickModel.ParallelFiles {
-		if ref.Package == pass.Pkg.Rel && ref.File == base {
-			return true
-		}
-	}
-	return false
 }
 
 // sanctionedRanges returns the source ranges of every AtomicAllow type

@@ -4,17 +4,16 @@
 // retry queue, atomic serialization horizon, jitter RNG position, and
 // counters. The partition serializes its controllers (whose queued requests
 // carry their origin slice, letting restore rebuild the completion
-// closures) and the activity bits of every tier in a layout-independent
-// form: bits are read from whichever active-set layout the source engine
-// ran (global, sharded, or exhaustively derived from Idle) and routed into
-// whichever layout the restoring engine runs — sound because the sharded
-// engine is state-identical to the sequential one.
+// closures) and the activity bits of every tier: read from the active sets,
+// or derived from Idle in exhaustive mode, and routed back into the sets on
+// restore.
 package mem
 
 import (
 	"sort"
 
 	"gpunoc/internal/packet"
+	"gpunoc/internal/sched"
 	"gpunoc/internal/snap"
 )
 
@@ -167,36 +166,20 @@ func (p *Partition) Snapshot(e *snap.Encoder) {
 		s.Snapshot(e)
 	}
 	for i, mc := range p.mcs {
-		e.Bool(p.mcActive(i, mc.Idle()))
+		e.Bool(activeBit(p.actMCs, i, mc.Idle()))
 	}
 	for i, s := range p.slices {
-		e.Bool(p.sliceActive(i, s.Idle()))
+		e.Bool(activeBit(p.actSlices, i, s.Idle()))
 	}
 }
 
-// mcActive reads controller i's activity bit from whichever layout is live.
-func (p *Partition) mcActive(i int, idle bool) bool {
-	switch {
-	case p.shard != nil:
-		return p.shard.actMCs[i].Active(i)
-	case p.actMCs != nil:
-		return p.actMCs.Active(i)
-	default:
-		// Exhaustive mode has no sets; derive conservatively from Idle.
+// activeBit reads member i's activity bit from set; exhaustive mode has no
+// sets, so the bit is derived conservatively from Idle.
+func activeBit(set *sched.ActiveSet, i int, idle bool) bool {
+	if set == nil {
 		return !idle
 	}
-}
-
-// sliceActive reads slice i's activity bit from whichever layout is live.
-func (p *Partition) sliceActive(i int, idle bool) bool {
-	switch {
-	case p.shard != nil:
-		return p.shard.actSlices[i/p.shard.slicesPerMC].Active(i)
-	case p.actSlices != nil:
-		return p.actSlices.Active(i)
-	default:
-		return !idle
-	}
+	return set.Active(i)
 }
 
 // Restore reads state written by Snapshot into a partition built from the
@@ -232,33 +215,20 @@ func (p *Partition) Restore(d *snap.Decoder) error {
 	}
 	for i := range p.mcs {
 		if d.Bool() {
-			p.wakeMC(i)
+			wakeBit(p.actMCs, i)
 		}
 	}
 	for i := range p.slices {
 		if d.Bool() {
-			p.wakeSlice(i)
+			wakeBit(p.actSlices, i)
 		}
 	}
 	return d.Err()
 }
 
-// wakeMC routes a restored activity bit into the live active-set layout.
-func (p *Partition) wakeMC(i int) {
-	switch {
-	case p.shard != nil:
-		p.shard.actMCs[i].Wake(i)
-	case p.actMCs != nil:
-		p.actMCs.Wake(i)
-	}
-}
-
-// wakeSlice routes a restored activity bit into the live active-set layout.
-func (p *Partition) wakeSlice(i int) {
-	switch {
-	case p.shard != nil:
-		p.shard.actSlices[i/p.shard.slicesPerMC].Wake(i)
-	case p.actSlices != nil:
-		p.actSlices.Wake(i)
+// wakeBit routes a restored activity bit into set, if any.
+func wakeBit(set *sched.ActiveSet, i int) {
+	if set != nil {
+		set.Wake(i)
 	}
 }

@@ -58,7 +58,6 @@ func TestMeshRemoteVsLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
 
 	const window = uint64(8192)
 	const count = 40
@@ -155,20 +154,18 @@ func signature(m *Mesh) string {
 	return b.String()
 }
 
-// TestMeshLockstepDeterminism extends the PR-6 lockstep suite to a 2-GPU
+// TestMeshLockstepDeterminism extends the engine lockstep test to a 2-GPU
 // mesh: the same config and seed produce bit-identical clocks, partition
 // stats, kernel timings, and fabric link stats — in checkpoints over 5000
-// cycles — across repeated runs and across engine worker counts 1/2/4/8.
+// cycles — across repeated runs.
 func TestMeshLockstepDeterminism(t *testing.T) {
-	run := func(workers int) []string {
+	run := func() []string {
 		cfg := config.Small()
 		cfg.Seed = 7
-		cfg.EngineWorkers = workers
 		m, err := New(cfg, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer m.Close()
 		launchCrossTraffic(t, m, 400)
 		var sigs []string
 		for i := 0; i < 10; i++ {
@@ -177,38 +174,20 @@ func TestMeshLockstepDeterminism(t *testing.T) {
 		}
 		return sigs
 	}
-	ref := run(1)
-	again := run(1)
+	ref, again := run(), run()
 	for i := range ref {
 		if ref[i] != again[i] {
-			t.Fatalf("same-worker rerun diverged at checkpoint %d:\n%s\nvs\n%s", i, ref[i], again[i])
-		}
-	}
-	for _, w := range []int{2, 4, 8} {
-		got := run(w)
-		for i := range ref {
-			if ref[i] != got[i] {
-				t.Fatalf("workers=%d diverged from workers=1 at checkpoint %d:\n%s\nvs\n%s",
-					w, i, ref[i], got[i])
-			}
+			t.Fatalf("rerun diverged at checkpoint %d:\n%s\nvs\n%s", i, ref[i], again[i])
 		}
 	}
 }
 
 // TestMeshSaturatedCrossGPU drives saturated bidirectional cross-GPU
-// traffic to completion on the parallel engine. The CI -race leg runs it by
-// name: every hand-off between SM shards, partition shards, the remote
-// outboxes, and the fabric happens under the race detector.
+// traffic through the remote outboxes and the fabric to completion.
 func TestMeshSaturatedCrossGPU(t *testing.T) {
-	cfg := config.Small()
-	cfg.EngineWorkers = 4
-	m, err := New(cfg, 2)
+	m, err := New(config.Small(), 2)
 	if err != nil {
 		t.Fatal(err)
-	}
-	defer m.Close()
-	if m.GPU(0).Workers() < 2 {
-		t.Fatalf("parallel engine did not engage (workers=%d)", m.GPU(0).Workers())
 	}
 	launchCrossTraffic(t, m, 200)
 	if err := m.RunKernels(20_000_000); err != nil {
@@ -233,7 +212,6 @@ func TestMeshDeviceSeedsDiffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
 	if s0, s1 := m.GPU(0).Config().Seed, m.GPU(1).Config().Seed; s0 == s1 {
 		t.Fatalf("devices share seed %d", s0)
 	}
@@ -286,7 +264,6 @@ func TestMeshSingleDeviceMatchesStandalone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
 	spec, _ := streamerSpec("solo", 2, 50, 0x40000, 8192, true, cfg.L2LineBytes)
 	m.Preload(0, 0x40000, 2*8192)
 	if _, err := m.Launch(0, spec); err != nil {
@@ -300,7 +277,6 @@ func TestMeshSingleDeviceMatchesStandalone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
 	spec2, _ := streamerSpec("solo", 2, 50, 0x40000, 8192, true, cfg.L2LineBytes)
 	g.Preload(0x40000, 2*8192)
 	if _, err := g.Launch(spec2); err != nil {
@@ -332,7 +308,6 @@ func TestMeshTopologies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer m.Close()
 			wantLinks := map[config.MeshTopology]int{
 				config.TopoFullMesh: 12, // ordered pairs
 				config.TopoRing:     8,  // cw + ccw per device

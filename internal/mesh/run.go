@@ -166,10 +166,8 @@ func (m *Mesh) RunKernels(budget uint64) error {
 	return nil
 }
 
-// Close releases every device's worker pool. Optional (finalizers cover
-// collection), but polite in code that builds many meshes.
-func (m *Mesh) Close() {
-	for _, g := range m.gpus {
-		g.Close()
-	}
-}
+// Close is a no-op: a mesh holds no goroutines or other resources beyond
+// its memory.
+//
+// Deprecated: there is nothing to release; callers may drop the call.
+func (m *Mesh) Close() {}

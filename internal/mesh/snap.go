@@ -55,15 +55,12 @@ func Restore(base config.Config, n int, data []byte, opts engine.RestoreOptions)
 	}
 	d, err := snap.NewDecoder(data, m.baseHash)
 	if err != nil {
-		m.Close()
 		return nil, err
 	}
 	if err := m.restoreState(d, opts); err != nil {
-		m.Close()
 		return nil, err
 	}
 	if err := d.Close(); err != nil {
-		m.Close()
 		return nil, err
 	}
 	return m, nil

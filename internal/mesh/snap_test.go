@@ -59,14 +59,12 @@ func TestMeshSnapshotRestoreReplaysBitIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ref.Close()
 	launchCrossStreams(t, ref)
 
 	cut, err := New(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cut.Close()
 	launchCrossStreams(t, cut)
 
 	const snapAt = 900
@@ -83,7 +81,6 @@ func TestMeshSnapshotRestoreReplaysBitIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rest.Close()
 	if rest.Now() != cut.Now() {
 		t.Fatalf("restored global clock %d, want %d", rest.Now(), cut.Now())
 	}
@@ -115,7 +112,6 @@ func TestMeshRestoreRejectsMismatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
 	launchCrossStreams(t, m)
 	m.RunFor(500)
 	blob, err := m.Snapshot()

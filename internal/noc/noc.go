@@ -53,11 +53,6 @@ type Network struct {
 	actRepGPC *sched.ActiveSet
 	actRepTPC *sched.ActiveSet
 
-	// shard is non-nil after EnableSharding (see shard.go): the engine's
-	// parallel tick loop then drives the fabric through the per-shard
-	// methods, and the sequential Tick entry point is forbidden.
-	shard *shardState
-
 	linkTicks *probe.Counter // nil when uninstrumented
 }
 
@@ -115,10 +110,6 @@ func New(cfg *config.Config, toSlice, toSM Deliver) (*Network, error) {
 		l, err := link.New(fmt.Sprintf("gpc%d-req", g), fanIn,
 			nc.GPCReqRateNum, nc.GPCReqRateDen, nc.GPCLinkLatency, a,
 			func(now uint64, p *packet.Packet) {
-				if n.shard != nil {
-					n.shard.pushRequest(now, g, p)
-					return
-				}
 				n.xbarIn[p.Slice].Enqueue(now, g, p)
 			})
 		if err != nil {
@@ -234,10 +225,6 @@ func (n *Network) InjectReply(now uint64, p *packet.Packet) {
 	if p.Kind.IsRequest() {
 		panic(fmt.Sprintf("noc: injecting request on reply subnet: %v", p))
 	}
-	if n.shard != nil {
-		n.shard.pushReply(now, p)
-		return
-	}
 	g := n.cfg.GPCOfSM(p.Tag.SM)
 	n.repGPC[g].Enqueue(now, p.Slice, p)
 }
@@ -247,7 +234,6 @@ func (n *Network) InjectReply(now uint64, p *packet.Packet) {
 // at most one hop per cycle deterministically. Under activity-driven
 // scheduling only active links tick, in the same group and index order.
 func (n *Network) Tick(now uint64) {
-	n.assertSequential("Tick")
 	if n.actReqTPC == nil {
 		for _, l := range n.reqTPC {
 			l.Tick(now)
@@ -297,19 +283,12 @@ func (n *Network) tickGroup(now uint64, set *sched.ActiveSet, group []*link.Link
 // the next Tick would do no work. Always false in exhaustive mode, where
 // nothing is ever parked.
 func (n *Network) Quiet() bool {
-	if n.shard != nil {
-		return n.shard.quiet()
-	}
 	return n.actReqTPC != nil && n.actReqTPC.Empty() && n.actReqGPC.Empty() &&
 		n.actXbar.Empty() && n.actRepGPC.Empty() && n.actRepTPC.Empty()
 }
 
-// Idle reports whether no packets are queued or in flight anywhere —
-// including, in sharded mode, the crossbar-boundary outboxes.
+// Idle reports whether no packets are queued or in flight anywhere.
 func (n *Network) Idle() bool {
-	if n.shard != nil && !n.shard.boxesEmpty() {
-		return false
-	}
 	for _, group := range [][]*link.Link{n.reqTPC, n.reqGPC, n.xbarIn, n.repGPC, n.repTPC} {
 		for _, l := range group {
 			if !l.Idle() {

@@ -1,12 +1,7 @@
-// Checkpoint support for the fabric. Snapshots are canonical across engine
-// worker counts: a sharded fabric first flushes its crossbar-boundary
-// outboxes into the destination links — replaying exactly the enqueues the
-// next phase would have performed, with the original cycle stamps, so this
-// is a legal state transition, not a perturbation — and then encodes the
-// sequential shape (link queues + activity bits). Restore routes the bits
-// back into whichever active-set layout the restoring engine runs, which is
-// sound because the sharded engine is state-identical to the sequential one
-// at every worker count (docs/DETERMINISM.md).
+// Checkpoint support for the fabric: every link's queues plus the activity
+// bit of each, in tick-group order. Restore routes the bits back into the
+// active sets; in exhaustive mode, which has no sets, the bit is derived
+// from Idle on the way out and dropped on the way in.
 package noc
 
 import (
@@ -18,9 +13,6 @@ import (
 // Snapshot appends the fabric's mutable state — every link of the five tick
 // groups plus the canonical activity bit of each — to the encoder.
 func (n *Network) Snapshot(e *snap.Encoder) {
-	if n.shard != nil {
-		n.flushShardBoxes()
-	}
 	e.Mark("noc")
 	for _, group := range [][]*link.Link{n.reqTPC, n.reqGPC, n.xbarIn, n.repGPC, n.repTPC} {
 		e.Int(len(group))
@@ -29,19 +21,19 @@ func (n *Network) Snapshot(e *snap.Encoder) {
 		}
 	}
 	for t, l := range n.reqTPC {
-		e.Bool(activeBit(n.actReqTPC, n.shardSetReqTPC(t), t, l))
+		e.Bool(activeBit(n.actReqTPC, t, l))
 	}
 	for g, l := range n.reqGPC {
-		e.Bool(activeBit(n.actReqGPC, n.shardSetGPC(n.shard, g, true), g, l))
+		e.Bool(activeBit(n.actReqGPC, g, l))
 	}
 	for s, l := range n.xbarIn {
-		e.Bool(activeBit(n.actXbar, n.shardSetXbar(s), s, l))
+		e.Bool(activeBit(n.actXbar, s, l))
 	}
 	for g, l := range n.repGPC {
-		e.Bool(activeBit(n.actRepGPC, n.shardSetGPC(n.shard, g, false), g, l))
+		e.Bool(activeBit(n.actRepGPC, g, l))
 	}
 	for t, l := range n.repTPC {
-		e.Bool(activeBit(n.actRepTPC, n.shardSetRepTPC(t), t, l))
+		e.Bool(activeBit(n.actRepTPC, t, l))
 	}
 }
 
@@ -61,112 +53,45 @@ func (n *Network) Restore(d *snap.Decoder) error {
 	}
 	for t := range n.reqTPC {
 		if d.Bool() {
-			wakeBit(n.actReqTPC, n.shardSetReqTPC(t), t)
+			wakeBit(n.actReqTPC, t)
 		}
 	}
 	for g := range n.reqGPC {
 		if d.Bool() {
-			wakeBit(n.actReqGPC, n.shardSetGPC(n.shard, g, true), g)
+			wakeBit(n.actReqGPC, g)
 		}
 	}
 	for s := range n.xbarIn {
 		if d.Bool() {
-			wakeBit(n.actXbar, n.shardSetXbar(s), s)
+			wakeBit(n.actXbar, s)
 		}
 	}
 	for g := range n.repGPC {
 		if d.Bool() {
-			wakeBit(n.actRepGPC, n.shardSetGPC(n.shard, g, false), g)
+			wakeBit(n.actRepGPC, g)
 		}
 	}
 	for t := range n.repTPC {
 		if d.Bool() {
-			wakeBit(n.actRepTPC, n.shardSetRepTPC(t), t)
+			wakeBit(n.actRepTPC, t)
 		}
 	}
 	return d.Err()
 }
 
-// flushShardBoxes replays the pending cross-shard hand-offs into their
-// destination links: request boxes in the TickXbarShard drain order
-// (ascending destination group, ascending source GPC), reply boxes in the
-// DrainReplies order (ascending GPC, ascending source group). Both are the
-// orders the next phases would have used, with the recorded cycle stamps,
-// so the flushed fabric is exactly the sequential engine's shape and the
-// snapshotted engine may simply keep running afterwards.
-func (n *Network) flushShardBoxes() {
-	sh := n.shard
-	for m := 0; m < sh.numGroups; m++ {
-		for g := range sh.xbox {
-			box := sh.xbox[g][m]
-			for _, x := range box {
-				n.xbarIn[x.dst].Enqueue(x.now, x.src, x.p)
-			}
-			sh.xbox[g][m] = box[:0]
-		}
-	}
-	for g := 0; g < len(sh.actReqGPC); g++ {
-		n.DrainReplies(g)
-	}
-}
-
-// shardSetReqTPC returns the sharded active set owning request-TPC link t,
-// or nil outside sharded mode.
-func (n *Network) shardSetReqTPC(t int) *sched.ActiveSet {
-	if n.shard == nil {
-		return nil
-	}
-	return n.shard.actReqTPC[n.cfg.GPCOfTPC(t)]
-}
-
-// shardSetRepTPC returns the sharded active set owning reply-TPC link t.
-func (n *Network) shardSetRepTPC(t int) *sched.ActiveSet {
-	if n.shard == nil {
-		return nil
-	}
-	return n.shard.actRepTPC[n.cfg.GPCOfTPC(t)]
-}
-
-// shardSetGPC returns the sharded active set owning GPC g's request (req
-// true) or reply channel.
-func (n *Network) shardSetGPC(sh *shardState, g int, req bool) *sched.ActiveSet {
-	if sh == nil {
-		return nil
-	}
-	if req {
-		return sh.actReqGPC[g]
-	}
-	return sh.actRepGPC[g]
-}
-
-// shardSetXbar returns the sharded active set owning crossbar port s.
-func (n *Network) shardSetXbar(s int) *sched.ActiveSet {
-	if n.shard == nil {
-		return nil
-	}
-	return n.shard.actXbar[s/n.shard.slicesPerMC]
-}
-
-// activeBit reads link i's activity from whichever layout is live; in
-// exhaustive mode (no sets) it derives the bit from Idle, which is exact
-// for simulation state (parking is only legal when ticking is a no-op).
-func activeBit(global, shard *sched.ActiveSet, i int, l *link.Link) bool {
-	switch {
-	case shard != nil:
-		return shard.Active(i)
-	case global != nil:
-		return global.Active(i)
-	default:
+// activeBit reads link i's activity bit; in exhaustive mode (no set) it
+// derives the bit from Idle, which is exact for simulation state (parking
+// is only legal when ticking is a no-op).
+func activeBit(set *sched.ActiveSet, i int, l *link.Link) bool {
+	if set == nil {
 		return !l.Idle()
 	}
+	return set.Active(i)
 }
 
-// wakeBit routes a restored activity bit into whichever layout is live.
-func wakeBit(global, shard *sched.ActiveSet, i int) {
-	switch {
-	case shard != nil:
-		shard.Wake(i)
-	case global != nil:
-		global.Wake(i)
+// wakeBit routes a restored activity bit into the active set, if any.
+func wakeBit(set *sched.ActiveSet, i int) {
+	if set != nil {
+		set.Wake(i)
 	}
 }

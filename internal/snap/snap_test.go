@@ -206,3 +206,50 @@ func TestCountingSourceSeekTo(t *testing.T) {
 		}
 	}
 }
+
+// TestCountingSourceLazyMatchesEager pins the lazily built source against an
+// eagerly seeded math/rand source: identical draws from the start, after a
+// forward SeekTo on a fresh source, after a SeekTo that rewinds a used one,
+// and after Seed. SeekTo(0) and Seed on a source nobody has drawn from must
+// leave it unbuilt.
+func TestCountingSourceLazyMatchesEager(t *testing.T) {
+	const seed = 20261017
+	eagerAt := func(skip int) *rand.Rand {
+		r := rand.New(rand.NewSource(seed))
+		for i := 0; i < skip; i++ {
+			r.Uint64()
+		}
+		return r
+	}
+	same := func(what string, lazy *CountingSource, eager *rand.Rand) {
+		t.Helper()
+		r := rand.New(lazy)
+		for i := 0; i < 200; i++ {
+			if a, b := r.Int63(), eager.Int63(); a != b {
+				t.Fatalf("%s: draw %d: lazy %d, eager %d", what, i, a, b)
+			}
+		}
+	}
+
+	fresh := NewCountingSource(seed)
+	fresh.SeekTo(0)
+	fresh.Seed(seed)
+	if fresh.src != nil {
+		t.Fatal("SeekTo(0) or Seed built the source of a never-drawn stream")
+	}
+	same("fresh", fresh, eagerAt(0))
+
+	forward := NewCountingSource(seed)
+	forward.SeekTo(75)
+	same("forward SeekTo", forward, eagerAt(75))
+
+	rewound := NewCountingSource(seed)
+	rand.New(rewound).Perm(50)
+	rewound.SeekTo(30)
+	same("rewinding SeekTo", rewound, eagerAt(30))
+
+	reseeded := NewCountingSource(1)
+	rand.New(reseeded).Uint64()
+	reseeded.Seed(seed)
+	same("Seed", reseeded, eagerAt(0))
+}

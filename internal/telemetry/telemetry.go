@@ -12,10 +12,7 @@
 // model), every Sampler method is safe on a nil receiver (the zero-value-off
 // fast path costs one nil check per cycle), and everything is stamped in
 // simulated cycles — never wall time — so telemetered runs stay
-// byte-reproducible. Because a Sampler travels through config.Config next to
-// the probe.Registry it aggregates, it inherits the probe/parallel-engine
-// contract: probes force EngineWorkers=1, so windows always observe the
-// classic single-goroutine tick loop.
+// byte-reproducible.
 //
 // The Sampler keeps its own cumulative cycle clock, advanced by the deltas
 // the engine reports. Experiments that build several engine instances from
