@@ -13,6 +13,7 @@
 //	        [-only fig10,table2,...] [-parallel N]
 //	        [-check] [-csv DIR] [-metrics DIR] [-telemetry DIR]
 //	        [-checkpoint-dir DIR] [-gpus N] [-topology full|ring|nvswitch]
+//	        [-cpuprofile FILE]
 //	ccbench -list
 //
 // -gpus and -topology shape the simulated multi-GPU mesh used by the
@@ -45,6 +46,10 @@
 // writability up front — a directory that cannot be created or written fails
 // fast with exit status 2 before any simulation runs.
 //
+// -cpuprofile FILE writes a runtime/pprof CPU profile of the run, from just
+// after flag validation to exit (error exits included), so a slow layer can
+// be found with `go tool pprof FILE` instead of a hand-run benchmark.
+//
 // The report goes to stdout; a per-experiment timing/cycles summary goes to
 // stderr (wall times vary run to run, so they are kept out of the
 // deterministic stream).
@@ -56,6 +61,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"strings"
 
 	"gpunoc/internal/config"
@@ -80,6 +86,25 @@ func ensureWritableDir(dir string) error {
 	return nil
 }
 
+// startCPUProfile starts writing a CPU profile to path and returns the
+// function that stops it and closes the file.
+func startCPUProfile(path string) (func(), error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "ccbench: writing CPU profile: %v\n", err)
+		}
+	}, nil
+}
+
 func main() {
 	cfgName := flag.String("config", "volta", "GPU configuration: volta or small")
 	scaleName := flag.String("scale", "quick", "experiment scale: quick or full")
@@ -94,6 +119,7 @@ func main() {
 	topology := flag.String("topology", "", "NVLink mesh topology: full, ring, or nvswitch (empty = config default)")
 	check := flag.Bool("check", false, "also assert each experiment's paper-shape Check")
 	list := flag.Bool("list", false, "list registered experiments and exit")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run (runtime/pprof format) to this file")
 	flag.Parse()
 
 	if *list {
@@ -176,6 +202,18 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	// Every exit from here on stops the profile first.
+	stopProfile := func() {}
+	if *cpuProfile != "" {
+		stop, err := startCPUProfile(*cpuProfile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "ccbench: %v\n", err)
+			os.Exit(2)
+		}
+		stopProfile = stop
+		defer stop()
+	}
+
 	opt.Metrics = *metricsDir != ""
 	opt.Telemetry = *telemetryDir != ""
 
@@ -190,6 +228,7 @@ func main() {
 	}
 	results, err := runner.Run(&cfg, ids)
 	if err != nil {
+		stopProfile()
 		fmt.Fprintf(os.Stderr, "ccbench: %v\n", err)
 		os.Exit(2)
 	}
@@ -253,6 +292,7 @@ func main() {
 
 	fmt.Fprint(os.Stderr, experiments.Summary(results))
 	if failed {
+		stopProfile()
 		os.Exit(1)
 	}
 }

@@ -8,7 +8,12 @@
 //	gpusim [-config volta|small] [-arb rr|crr|srr|age] [-sms 0,1] \
 //	       [-ops 20] [-warps 4] [-read] [-seed N] \
 //	       [-trace out.json] [-watch N] [-gpus N] [-topology full|ring|nvswitch] \
-//	       [-snapshot-at N -snapshot-file f.snap | -restore f.snap]
+//	       [-snapshot-at N -snapshot-file f.snap | -restore f.snap] \
+//	       [-cpuprofile FILE]
+//
+// -cpuprofile FILE writes a runtime/pprof CPU profile of the run, from just
+// after flag validation to exit (error exits included); read it with
+// `go tool pprof FILE`.
 //
 // -gpus N (N >= 2) builds an N-device NVLink mesh (internal/mesh) instead of
 // a single GPU and points the streamers on device 0 at a window owned by
@@ -44,6 +49,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -56,8 +62,32 @@ import (
 )
 
 func fail(err error) {
+	stopProfile()
 	fmt.Fprintf(os.Stderr, "gpusim: %v\n", err)
 	os.Exit(1)
+}
+
+// stopProfile ends the -cpuprofile capture once it has started. fail calls
+// it, so an error exit still leaves a complete profile behind.
+var stopProfile = func() {}
+
+// startCPUProfile starts writing a CPU profile to path and returns the
+// function that stops it and closes the file.
+func startCPUProfile(path string) (func(), error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "gpusim: writing CPU profile: %v\n", err)
+		}
+	}, nil
 }
 
 // watchPrinter is the -watch Watcher: one stderr line per window that saw
@@ -93,6 +123,7 @@ func main() {
 	snapAt := flag.Uint64("snapshot-at", 0, "write a checkpoint at this cycle, then keep running (requires -snapshot-file)")
 	snapFile := flag.String("snapshot-file", "", "checkpoint output path for -snapshot-at")
 	restorePath := flag.String("restore", "", "restore the engine from this checkpoint and run to completion")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run (runtime/pprof format) to this file")
 	flag.Parse()
 
 	if (*snapAt > 0) != (*snapFile != "") {
@@ -144,13 +175,23 @@ func main() {
 		}
 		cfg.NVLink.Topology = topo
 	}
+	if *gpus >= 2 && (*tracePath != "" || *watch > 0) {
+		fail(fmt.Errorf("-trace and -watch are not supported with -gpus"))
+	}
+	if *gpus >= 2 && (*snapFile != "" || *restorePath != "") {
+		fail(fmt.Errorf("checkpoints are not supported with -gpus"))
+	}
+
+	if *cpuProfile != "" {
+		stop, err := startCPUProfile(*cpuProfile)
+		if err != nil {
+			fail(err)
+		}
+		stopProfile = stop
+		defer stop()
+	}
+
 	if *gpus >= 2 {
-		if *tracePath != "" || *watch > 0 {
-			fail(fmt.Errorf("-trace and -watch are not supported with -gpus"))
-		}
-		if *snapFile != "" || *restorePath != "" {
-			fail(fmt.Errorf("checkpoints are not supported with -gpus"))
-		}
 		runMesh(cfg, *gpus, targets, *warps, *ops, *read, *smsFlag)
 		return
 	}

@@ -88,8 +88,13 @@ type GPU struct {
 	// tel is cached from the configuration so the run loops pay a single
 	// nil check per cycle when telemetry is off. The sampler is stepped
 	// outside step() — the hot-allocation lint root — because emitting a
-	// window snapshots the registry, which allocates.
+	// window allocates its sparse maps.
 	tel *telemetry.Sampler
+
+	// snapLen is the length of the previous Snapshot blob, the buffer size
+	// the next one starts from. A capacity hint only: not simulation state,
+	// never encoded.
+	snapLen int
 }
 
 // New builds a GPU for cfg. The configuration is copied; later mutations of

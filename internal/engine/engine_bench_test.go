@@ -55,8 +55,9 @@ func BenchmarkEngineTick(b *testing.B) {
 	// The sparse workload again with full observability attached: a probe
 	// registry plus a windowed telemetry sampler feeding the covert-channel
 	// detector. The delta against sparse-2sm prices the whole telemetry
-	// stack — per-cycle probe updates dominate; the sampler itself runs once
-	// per window from the RunFor boundary, off the per-cycle path.
+	// stack: per-cycle probe updates on the active components, plus one
+	// registry snapshot, diff and detector pass per 512-cycle window, run
+	// from the RunFor boundary off the per-cycle path.
 	b.Run("sparse-telemetry", func(b *testing.B) {
 		cfg := config.Volta()
 		cfg.WarpIssueJitter = 0

@@ -5,6 +5,7 @@ package engine
 // first use, yet a fresh or mid-run snapshot must keep its exact bytes.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"runtime"
@@ -12,6 +13,7 @@ import (
 
 	"gpunoc/internal/config"
 	"gpunoc/internal/probe"
+	"gpunoc/internal/telemetry"
 )
 
 // Golden SHA-256 digests of Snapshot() bytes. They were taken before RNG
@@ -21,6 +23,19 @@ import (
 const (
 	goldenFreshVolta = "0fa8a42158d9dbfa65c30993f8276ee282b25de96883348579205ffbe68e0df9"
 	goldenSmallAt700 = "a2fea302a68aa6a8f43caee5977306c2d74af844271bf680b4269b3aeb3a7d27"
+)
+
+// Golden digests of an instrumented engine: the small configuration with a
+// probe registry and a telemetry sampler feeding a detector, snapshotted at
+// cycles 700 and 1500 of one run, plus the JSONL of the windows and events
+// it emitted by cycle 1500. They were taken while the registry still sorted
+// its names on every snapshot and the sampler kept its baselines in a map,
+// so a match proves the probe and telemetry sections, and the window stream,
+// kept their bytes.
+const (
+	goldenInstrumentedAt700  = "85b22227759d582ca9625690e2b1b8f46ce84abc859370667d655ba022ccd22d"
+	goldenInstrumentedAt1500 = "89183cf2ec3d26466eac83ea0f7f57bbbf3992e790d62b7d2a73db4a5c3fbb5e"
+	goldenInstrumentedJSONL  = "5ed195f5291d2ae8e92f162777ba542df70b7de868963a4f9013bb99009d8640"
 )
 
 func snapshotDigest(t *testing.T, g *GPU) string {
@@ -46,6 +61,39 @@ func TestSnapshotGoldenDigests(t *testing.T) {
 	g.RunFor(700)
 	if got := snapshotDigest(t, g); got != goldenSmallAt700 {
 		t.Errorf("small mid-run snapshot digest %s, want %s", got, goldenSmallAt700)
+	}
+}
+
+// TestInstrumentedSnapshotGoldenDigests pins the snapshot bytes of an
+// engine with probes and telemetry attached, mid-run and again later in the
+// same run (the second snapshot starts from the first one's buffer size),
+// and the bytes of the window and event stream.
+func TestInstrumentedSnapshotGoldenDigests(t *testing.T) {
+	cfg := snapCfg()
+	cfg.Probes = probe.NewRegistry()
+	rec := &telemetry.Recorder{}
+	det := telemetry.NewDetector(telemetry.DetectorConfig{SlotCycles: 256, WindowCycles: 64})
+	cfg.Telemetry = telemetry.NewSampler(64, rec, det)
+	g := mkGPU(t, cfg)
+	launchSnapWorkload(t, g)
+	g.RunFor(700)
+	if got := snapshotDigest(t, g); got != goldenInstrumentedAt700 {
+		t.Errorf("instrumented snapshot digest at cycle 700 %s, want %s", got, goldenInstrumentedAt700)
+	}
+	g.RunFor(800)
+	if got := snapshotDigest(t, g); got != goldenInstrumentedAt1500 {
+		t.Errorf("instrumented snapshot digest at cycle 1500 %s, want %s", got, goldenInstrumentedAt1500)
+	}
+	var b bytes.Buffer
+	if err := telemetry.WriteWindowsJSONL(&b, rec.Windows()); err != nil {
+		t.Fatal(err)
+	}
+	if err := telemetry.WriteEventsJSONL(&b, det.Events()); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != goldenInstrumentedJSONL {
+		t.Errorf("window and event JSONL digest %s, want %s", got, goldenInstrumentedJSONL)
 	}
 }
 

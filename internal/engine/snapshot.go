@@ -53,11 +53,13 @@ func (g *GPU) Snapshot() ([]byte, error) {
 	if g.cfg.Probes != nil && g.cfg.Probes.Tracer() != nil {
 		return nil, ErrTraceEnabled
 	}
-	e := snap.NewEncoder()
+	e := snap.NewEncoderSize(g.snapLen)
 	if err := g.EncodeState(e); err != nil {
 		return nil, err
 	}
-	return e.Finish(g.cfg.Hash()), nil
+	blob := e.Finish(g.cfg.Hash())
+	g.snapLen = len(blob)
+	return blob, nil
 }
 
 // EncodeState appends the engine's state sections to an encoder the caller

@@ -8,7 +8,6 @@
 package mem
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 
@@ -32,24 +31,11 @@ type scheduledReply struct {
 	seq uint64
 }
 
-type replyHeap []scheduledReply
-
-func (h replyHeap) Len() int { return len(h) }
-func (h replyHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a scheduledReply) before(b scheduledReply) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h replyHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *replyHeap) Push(x interface{}) { *h = append(*h, x.(scheduledReply)) }
-func (h *replyHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	//lint:allow hotalloc container/heap contract boxes the popped element
-	return item
+	return a.seq < b.seq
 }
 
 type scheduledFill struct {
@@ -58,24 +44,61 @@ type scheduledFill struct {
 	seq uint64
 }
 
-type fillHeap []scheduledFill
-
-func (h fillHeap) Len() int { return len(h) }
-func (h fillHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a scheduledFill) before(b scheduledFill) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h fillHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *fillHeap) Push(x interface{}) { *h = append(*h, x.(scheduledFill)) }
-func (h *fillHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	//lint:allow hotalloc container/heap contract boxes the popped element
-	return item
+
+// heapOrdered is an element of a binary min-heap ordered by before.
+type heapOrdered[T any] interface {
+	before(T) bool
+}
+
+// heapPush adds x to the min-heap h. It sifts exactly as container/heap's
+// Push does, so a heap array (which slice snapshots encode verbatim) has the
+// same layout either way, without boxing x into an interface.
+func heapPush[T heapOrdered[T]](h *[]T, x T) {
+	*h = append(*h, x)
+	s := *h
+	j := len(s) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !s[j].before(s[i]) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+// heapPop removes and returns the minimum of the non-empty heap h, sifting
+// exactly as container/heap's Pop does.
+func heapPop[T heapOrdered[T]](h *[]T) T {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	i := 0
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && s[r].before(s[j]) {
+			j = r
+		}
+		if !s[j].before(s[i]) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	x := s[n]
+	var zero T
+	s[n] = zero // drop the popped element's references
+	*h = s[:n]
+	return x
 }
 
 // Slice is one L2 cache slice plus its share of a memory controller.
@@ -90,8 +113,8 @@ type Slice struct {
 	numSlices  uint64
 
 	inq     ring.Buffer[*packet.Packet]
-	replies replyHeap
-	fills   fillHeap
+	replies []scheduledReply // min-heap by (at, seq)
+	fills   []scheduledFill  // min-heap by (at, seq)
 	seq     uint64
 	waiting map[uint64][]*packet.Packet // line addr -> packets on an MSHR
 	wake    func()                      // activity wake edge (see SetWaker); nil outside a scheduler
@@ -226,19 +249,18 @@ func (s *Slice) scheduleReply(at uint64, req *packet.Packet) {
 		BypassL1:   req.BypassL1,
 	}
 	s.seq++
-	//lint:allow hotalloc container/heap contract boxes the pushed element
-	heap.Push(&s.replies, scheduledReply{at: at, p: rep, seq: s.seq})
+	heapPush(&s.replies, scheduledReply{at: at, p: rep, seq: s.seq})
 }
 
 // Tick advances the slice one cycle: due replies are emitted, then at most
 // one new request starts service.
 func (s *Slice) Tick(now uint64) {
 	for len(s.replies) > 0 && s.replies[0].at <= now {
-		item := heap.Pop(&s.replies).(scheduledReply)
+		item := heapPop(&s.replies)
 		s.out(now, item.p)
 	}
 	for len(s.fills) > 0 && s.fills[0].at <= now {
-		item := heap.Pop(&s.fills).(scheduledFill)
+		item := heapPop(&s.fills)
 		s.completeFill(item.at, item.la)
 	}
 	if s.retries.Len() > 0 {
@@ -316,8 +338,7 @@ func (s *Slice) Tick(now uint64) {
 // before the data actually arrived.
 func (s *Slice) scheduleFill(at, la uint64) {
 	s.seq++
-	//lint:allow hotalloc container/heap contract boxes the pushed element
-	heap.Push(&s.fills, scheduledFill{at: at, la: la, seq: s.seq})
+	heapPush(&s.fills, scheduledFill{at: at, la: la, seq: s.seq})
 }
 
 func (s *Slice) completeFill(at uint64, la uint64) {

@@ -94,7 +94,7 @@ func (s *Slice) Restore(d *snap.Decoder) error {
 		s.inq.Push(packet.Decode(d))
 	}
 	n = d.Len()
-	s.replies = make(replyHeap, 0, n)
+	s.replies = make([]scheduledReply, 0, n)
 	for i := 0; i < n; i++ {
 		var r scheduledReply
 		r.at = d.U64()
@@ -103,7 +103,7 @@ func (s *Slice) Restore(d *snap.Decoder) error {
 		s.replies = append(s.replies, r)
 	}
 	n = d.Len()
-	s.fills = make(fillHeap, 0, n)
+	s.fills = make([]scheduledFill, 0, n)
 	for i := 0; i < n; i++ {
 		var f scheduledFill
 		f.at = d.U64()

@@ -89,6 +89,11 @@ type Mesh struct {
 	// drains[d] routes one of device d's outbound packets onto its
 	// first-hop link; built once so the per-cycle drain allocates nothing.
 	drains []func(p *packet.Packet)
+
+	// snapLen is the length of the previous Snapshot blob, the buffer size
+	// the next one starts from. A capacity hint only: not simulation state,
+	// never encoded.
+	snapLen int
 }
 
 // hop names one link input: enqueue on links[idx] input in.

@@ -22,7 +22,7 @@ func (m *Mesh) Snapshot() ([]byte, error) {
 			return nil, engine.ErrTraceEnabled
 		}
 	}
-	e := snap.NewEncoder()
+	e := snap.NewEncoderSize(m.snapLen)
 	e.Mark("mesh")
 	e.U64(m.now)
 	e.Int(len(m.gpus))
@@ -42,7 +42,9 @@ func (m *Mesh) Snapshot() ([]byte, error) {
 			packet.Encode(e, p)
 		}
 	}
-	return e.Finish(m.baseHash), nil
+	blob := e.Finish(m.baseHash)
+	m.snapLen = len(blob)
+	return blob, nil
 }
 
 // Restore builds an n-device mesh from base and loads a Snapshot blob into

@@ -261,22 +261,65 @@ func (o *Occupancy) Value(cycles uint64) float64 {
 // accumulates across them — and the snapshot lists metrics sorted by name,
 // independent of registration order. All methods are safe on a nil receiver
 // and return nil instruments, which is the disabled fast path.
+//
+// Each metric kind keeps, beside its by-name map, a frozen name-sorted order
+// of its instruments. The order is rebuilt only after a new name registered
+// (through Counter, Gauge, Hist, Occupancy or Unmarshal), so Snapshot and
+// Marshal — which run once per telemetry window and once per checkpoint —
+// walk two slices: no map iteration, no sort and no per-name lookup.
 type Registry struct {
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Hist
-	occs     map[string]*Occupancy
+	counters kind[Counter]
+	gauges   kind[Gauge]
+	hists    kind[Hist]
+	occs     kind[Occupancy]
 	trace    *Trace
+}
+
+// kind is one metric kind of a Registry: the instruments by name, plus the
+// frozen name-sorted order Snapshot and Marshal walk.
+type kind[T any] struct {
+	byName map[string]*T
+	names  []string // sorted ascending
+	items  []*T     // items[i] is byName[names[i]]
+	stale  bool     // a name registered since the order was built
+}
+
+// lookup returns the instrument named name, creating a zero one on first
+// use; created reports whether it did.
+func (k *kind[T]) lookup(name string) (v *T, created bool) {
+	if v, ok := k.byName[name]; ok {
+		return v, false
+	}
+	if k.byName == nil {
+		k.byName = map[string]*T{}
+	}
+	v = new(T)
+	k.byName[name] = v
+	k.stale = true
+	return v, true
+}
+
+// refresh rebuilds the frozen order if a name registered since it was last
+// built.
+func (k *kind[T]) refresh() {
+	if !k.stale {
+		return
+	}
+	k.names = k.names[:0]
+	for name := range k.byName {
+		k.names = append(k.names, name)
+	}
+	sort.Strings(k.names)
+	k.items = k.items[:0]
+	for _, name := range k.names {
+		k.items = append(k.items, k.byName[name])
+	}
+	k.stale = false
 }
 
 // NewRegistry returns an empty registry with tracing disabled.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Hist{},
-		occs:     map[string]*Occupancy{},
-	}
+	return &Registry{}
 }
 
 // Counter returns the counter registered under name, creating it on first
@@ -285,11 +328,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
+	c, _ := r.counters.lookup(name)
 	return c
 }
 
@@ -298,11 +337,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
+	g, _ := r.gauges.lookup(name)
 	return g
 }
 
@@ -312,11 +347,7 @@ func (r *Registry) Hist(name string) *Hist {
 	if r == nil {
 		return nil
 	}
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Hist{}
-		r.hists[name] = h
-	}
+	h, _ := r.hists.lookup(name)
 	return h
 }
 
@@ -327,12 +358,19 @@ func (r *Registry) Occupancy(name string, unitsPerCycle uint64) *Occupancy {
 	if r == nil {
 		return nil
 	}
-	o, ok := r.occs[name]
-	if !ok {
-		o = &Occupancy{unitsPerCyc: unitsPerCycle}
-		r.occs[name] = o
+	o, created := r.occs.lookup(name)
+	if created {
+		o.unitsPerCyc = unitsPerCycle
 	}
 	return o
+}
+
+// order brings every kind's frozen order up to date.
+func (r *Registry) order() {
+	r.counters.refresh()
+	r.gauges.refresh()
+	r.hists.refresh()
+	r.occs.refresh()
 }
 
 // EnableTrace attaches a bounded trace ring of at most cap events (values
@@ -402,39 +440,54 @@ type Snapshot struct {
 
 // Snapshot captures every registered metric at the given simulated cycle.
 // The result depends only on the metric values and names, never on map
-// iteration or registration order. Safe on a nil registry (empty snapshot).
+// iteration or registration order. It walks the frozen orders, so an
+// unchanged metric set costs one allocation per kind plus a copy of the
+// values. Safe on a nil registry (empty snapshot).
 func (r *Registry) Snapshot(cycles uint64) Snapshot {
-	s := Snapshot{Cycles: cycles}
-	if r == nil {
-		return s
-	}
-	for _, name := range sortedKeys(r.counters) {
-		s.Counters = append(s.Counters, CounterStat{Name: name, Value: r.counters[name].Load()})
-	}
-	for _, name := range sortedKeys(r.gauges) {
-		g := r.gauges[name]
-		s.Gauges = append(s.Gauges, GaugeStat{Name: name, Value: g.Load(), Max: g.Max()})
-	}
-	for _, name := range sortedKeys(r.hists) {
-		h := r.hists[name]
-		s.Hists = append(s.Hists, HistStat{Name: name, Sum: h.Sum(), Dist: h.Dist()})
-	}
-	for _, name := range sortedKeys(r.occs) {
-		o := r.occs[name]
-		s.Occupancy = append(s.Occupancy, OccStat{Name: name, Busy: o.Busy(), Units: o.unitsPerCyc, Value: o.Value(cycles)})
-	}
+	var s Snapshot
+	r.SnapshotInto(&s, cycles)
 	return s
 }
 
-// sortedKeys returns the map keys in ascending order (the deterministic
-// iteration order every snapshot uses).
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// SnapshotInto is Snapshot writing into *s, reusing the capacity of its
+// slices: a caller alternating between two Snapshot values, as the
+// telemetry sampler does once per window, allocates nothing while the
+// metric set is unchanged. A kind with no metrics leaves a nil slice.
+func (r *Registry) SnapshotInto(s *Snapshot, cycles uint64) {
+	s.Cycles = cycles
+	if r == nil {
+		s.Counters, s.Gauges, s.Hists, s.Occupancy = nil, nil, nil, nil
+		return
 	}
-	sort.Strings(keys)
-	return keys
+	r.order()
+	s.Counters = resize(s.Counters, len(r.counters.items))
+	for i, c := range r.counters.items {
+		s.Counters[i] = CounterStat{Name: r.counters.names[i], Value: c.n}
+	}
+	s.Gauges = resize(s.Gauges, len(r.gauges.items))
+	for i, g := range r.gauges.items {
+		s.Gauges[i] = GaugeStat{Name: r.gauges.names[i], Value: g.v, Max: g.max}
+	}
+	s.Hists = resize(s.Hists, len(r.hists.items))
+	for i, h := range r.hists.items {
+		s.Hists[i] = HistStat{Name: r.hists.names[i], Sum: h.sum, Dist: h.Dist()}
+	}
+	s.Occupancy = resize(s.Occupancy, len(r.occs.items))
+	for i, o := range r.occs.items {
+		s.Occupancy[i] = OccStat{Name: r.occs.names[i], Busy: o.busy, Units: o.unitsPerCyc, Value: o.Value(cycles)}
+	}
+}
+
+// resize returns a slice of length n, reusing s's array when it is large
+// enough; nil for n == 0.
+func resize[T any](s []T, n int) []T {
+	switch {
+	case n == 0:
+		return nil
+	case cap(s) >= n:
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // FindOccupancy returns the occupancy stat named name (tests and CLI

@@ -16,25 +16,21 @@ func Marshal(e *snap.Encoder, r *Registry) {
 	if r == nil {
 		return
 	}
-	names := sortedKeys(r.counters)
-	e.Int(len(names))
-	for _, name := range names {
-		e.String(name)
-		e.U64(r.counters[name].n)
+	r.order()
+	e.Int(len(r.counters.items))
+	for i, c := range r.counters.items {
+		e.String(r.counters.names[i])
+		e.U64(c.n)
 	}
-	names = sortedKeys(r.gauges)
-	e.Int(len(names))
-	for _, name := range names {
-		g := r.gauges[name]
-		e.String(name)
+	e.Int(len(r.gauges.items))
+	for i, g := range r.gauges.items {
+		e.String(r.gauges.names[i])
 		e.I64(g.v)
 		e.I64(g.max)
 	}
-	names = sortedKeys(r.hists)
-	e.Int(len(names))
-	for _, name := range names {
-		h := r.hists[name]
-		e.String(name)
+	e.Int(len(r.hists.items))
+	for i, h := range r.hists.items {
+		e.String(r.hists.names[i])
 		e.U64(h.count)
 		e.U64(h.sum)
 		e.U64(h.max)
@@ -42,11 +38,9 @@ func Marshal(e *snap.Encoder, r *Registry) {
 			e.U64(b)
 		}
 	}
-	names = sortedKeys(r.occs)
-	e.Int(len(names))
-	for _, name := range names {
-		o := r.occs[name]
-		e.String(name)
+	e.Int(len(r.occs.items))
+	for i, o := range r.occs.items {
+		e.String(r.occs.names[i])
 		e.U64(o.busy)
 		e.U64(o.unitsPerCyc)
 	}

@@ -75,7 +75,16 @@ type Encoder struct {
 
 // NewEncoder returns an encoder with room for the header already reserved.
 func NewEncoder() *Encoder {
-	return &Encoder{buf: make([]byte, headerLen, 4096)}
+	return NewEncoderSize(0)
+}
+
+// NewEncoderSize is NewEncoder with room for a snapshot of about size bytes
+// before the buffer regrows. Callers that checkpoint repeatedly pass the
+// length of their previous blob: a large engine's snapshot runs to megabytes,
+// and regrowing from a small buffer copies it many times over. The hint only
+// sizes the buffer; the bytes encoded are the same for any size.
+func NewEncoderSize(size int) *Encoder {
+	return &Encoder{buf: make([]byte, headerLen, max(4096, size+size/8))}
 }
 
 // U8 appends one byte.

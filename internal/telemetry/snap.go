@@ -6,7 +6,7 @@
 package telemetry
 
 import (
-	"sort"
+	"fmt"
 
 	"gpunoc/internal/probe"
 	"gpunoc/internal/snap"
@@ -26,15 +26,10 @@ func (s *Sampler) Snapshot(e *snap.Encoder) {
 	e.U64(s.nextAt)
 	e.U64(s.index)
 	encodeProbeSnapshot(e, s.prev)
-	keys := make([]string, 0, len(s.ewma))
-	for k := range s.ewma {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	e.Int(len(keys))
-	for _, k := range keys {
-		e.String(k)
-		e.F64(s.ewma[k])
+	e.Int(len(s.ewmaNames))
+	for i, name := range s.ewmaNames {
+		e.String(name)
+		e.F64(s.ewma[i])
 	}
 }
 
@@ -54,10 +49,14 @@ func (s *Sampler) Restore(d *snap.Decoder) error {
 	index := d.U64()
 	prev := decodeProbeSnapshot(d)
 	n := d.Len()
-	ewma := make(map[string]float64, n)
-	for i := 0; i < n; i++ {
-		k := d.String()
-		ewma[k] = d.F64()
+	names := make([]string, n)
+	ewma := make([]float64, n)
+	for i := range names {
+		names[i] = d.String()
+		ewma[i] = d.F64()
+		if i > 0 && names[i] <= names[i-1] && d.Err() == nil {
+			return fmt.Errorf("%w: telemetry baselines not sorted by name at %q", snap.ErrCorrupt, names[i])
+		}
 	}
 	if err := d.Err(); err != nil || s == nil {
 		return err
@@ -68,6 +67,7 @@ func (s *Sampler) Restore(d *snap.Decoder) error {
 	s.nextAt = nextAt
 	s.index = index
 	s.prev = prev
+	s.ewmaNames = names
 	s.ewma = ewma
 	return nil
 }

@@ -105,15 +105,28 @@ func (r *Recorder) Windows() []Window { return r.windows }
 // windows. The zero value and the nil pointer are both "off": Step on a nil
 // Sampler is a no-op, which is the disabled fast path the engine relies on.
 // A Sampler is single-use and single-goroutine, like the registry it reads.
+//
+// Emitting a window costs one probe.Registry.Snapshot, which walks the
+// registry's frozen metric order into the slices of the snapshot before the
+// previous one, plus one forward merge of the current snapshot against the
+// previous one by name. The per-link EWMA baselines sit in a name-sorted
+// slice the same merge walks.
 type Sampler struct {
-	window   uint64
-	alpha    float64
-	clock    uint64
-	nextAt   uint64
-	index    uint64
-	prev     probe.Snapshot
-	ewma     map[string]float64
-	watchers []Watcher
+	window uint64
+	alpha  float64
+	clock  uint64
+	nextAt uint64
+	index  uint64
+	prev   probe.Snapshot
+	// spare is the snapshot before prev, whose slices the next window's
+	// snapshot reuses.
+	spare probe.Snapshot
+	// ewmaNames lists, sorted, every occupancy metric the sampler has seen
+	// and ewma holds their baselines in the same order. In the steady
+	// state ewmaNames equals prev's occupancy names.
+	ewmaNames []string
+	ewma      []float64
+	watchers  []Watcher
 }
 
 // NewSampler returns a sampler emitting windows of windowCycles cycles
@@ -126,7 +139,6 @@ func NewSampler(windowCycles uint64, watchers ...Watcher) *Sampler {
 		window:   windowCycles,
 		alpha:    DefaultEWMAAlpha,
 		nextAt:   windowCycles,
-		ewma:     map[string]float64{},
 		watchers: watchers,
 	}
 }
@@ -162,7 +174,8 @@ func (s *Sampler) Step(d uint64, r *probe.Registry) {
 // so windows after the first diff an unchanged snapshot against itself and
 // carry only decaying EWMA baselines.
 func (s *Sampler) flush(r *probe.Registry) {
-	cur := r.Snapshot(s.nextAt)
+	cur, old := s.spare, s.prev
+	r.SnapshotInto(&cur, s.nextAt)
 	for s.clock >= s.nextAt {
 		w := s.diff(cur)
 		s.prev = cur
@@ -172,6 +185,7 @@ func (s *Sampler) flush(r *probe.Registry) {
 			wt.ObserveWindow(w)
 		}
 	}
+	s.spare = old
 }
 
 // diff builds the window ending at s.nextAt from the previous and current
@@ -234,6 +248,7 @@ func (s *Sampler) diff(cur probe.Snapshot) Window {
 	}
 
 	i = 0
+	j := 0
 	for _, o := range cur.Occupancy {
 		var prevBusy uint64
 		for i < len(s.prev.Occupancy) && s.prev.Occupancy[i].Name < o.Name {
@@ -242,13 +257,22 @@ func (s *Sampler) diff(cur probe.Snapshot) Window {
 		if i < len(s.prev.Occupancy) && s.prev.Occupancy[i].Name == o.Name {
 			prevBusy = s.prev.Occupancy[i].Busy
 		}
+		for j < len(s.ewmaNames) && s.ewmaNames[j] < o.Name {
+			j++
+		}
+		if j == len(s.ewmaNames) || s.ewmaNames[j] != o.Name {
+			// A link seen for the first time. Every earlier name of cur
+			// already has a baseline, so after merging all of cur's new
+			// names in, this one sits at j and no later one is missing.
+			s.growEWMA(cur.Occupancy)
+		}
 		busy := o.Busy - prevBusy
 		rate := 0.0
 		if o.Units > 0 {
 			rate = math.Min(float64(busy)/(float64(o.Units)*float64(s.window)), 1)
 		}
-		base := s.ewma[o.Name]
-		s.ewma[o.Name] = base + s.alpha*(rate-base)
+		base := s.ewma[j]
+		s.ewma[j] = base + s.alpha*(rate-base)
 		if busy != 0 || base >= ewmaFloor {
 			if w.Occ == nil {
 				w.Occ = map[string]OccWindow{}
@@ -258,6 +282,29 @@ func (s *Sampler) diff(cur probe.Snapshot) Window {
 	}
 
 	return w
+}
+
+// growEWMA merges the occupancy names of a snapshot into the sorted
+// baseline list; a link seen for the first time starts from a zero
+// baseline.
+func (s *Sampler) growEWMA(occ []probe.OccStat) {
+	names := make([]string, 0, len(s.ewmaNames)+len(occ))
+	vals := make([]float64, 0, cap(names))
+	i := 0
+	for _, o := range occ {
+		for i < len(s.ewmaNames) && s.ewmaNames[i] < o.Name {
+			names, vals = append(names, s.ewmaNames[i]), append(vals, s.ewma[i])
+			i++
+		}
+		if i < len(s.ewmaNames) && s.ewmaNames[i] == o.Name {
+			names, vals = append(names, o.Name), append(vals, s.ewma[i])
+			i++
+		} else {
+			names, vals = append(names, o.Name), append(vals, 0)
+		}
+	}
+	s.ewmaNames = append(names, s.ewmaNames[i:]...)
+	s.ewma = append(vals, s.ewma[i:]...)
 }
 
 // WriteWindowsJSONL writes one JSON object per line for each window, in
