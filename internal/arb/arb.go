@@ -65,12 +65,21 @@ type roundRobin struct {
 
 func (a *roundRobin) Policy() config.ArbPolicy { return config.ArbRR }
 
+// Grant scans last+1..n-1 and then 0..last, the same cyclic order as
+// (last+i)%n for i in 1..n without a division per probe. last stays in
+// [0,n): New sets n-1, grants set a valid index, and Restore rejects
+// anything else.
 func (a *roundRobin) Grant(_ uint64, heads []*packet.Packet) int {
-	for i := 1; i <= a.n; i++ {
-		idx := (a.last + i) % a.n
-		if heads[idx] != nil {
-			a.last = idx
-			return idx
+	for i := a.last + 1; i < a.n; i++ {
+		if heads[i] != nil {
+			a.last = i
+			return i
+		}
+	}
+	for i := 0; i <= a.last; i++ {
+		if heads[i] != nil {
+			a.last = i
+			return i
 		}
 	}
 	return -1

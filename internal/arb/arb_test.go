@@ -245,3 +245,31 @@ func TestQuickRRFairness(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: the two-segment round-robin scan grants exactly what the modulo
+// scan (last+i)%n for i in 1..n grants, and leaves the same last, for any
+// fan-in, head pattern and starting position.
+func TestQuickRRMatchesModuloScan(t *testing.T) {
+	f := func(nRaw uint8, mask uint64, lastRaw uint8) bool {
+		n := int(nRaw)%64 + 1
+		last := int(lastRaw) % n
+		heads := make([]*packet.Packet, n)
+		for i := range heads {
+			if mask&(1<<i) != 0 {
+				heads[i] = pk(i, 0, 1, 0)
+			}
+		}
+		want, wantLast := -1, last
+		for i := 1; i <= n; i++ {
+			if idx := (last + i) % n; heads[idx] != nil {
+				want, wantLast = idx, idx
+				break
+			}
+		}
+		a := &roundRobin{n: n, last: last}
+		return a.Grant(0, heads) == want && a.last == wantLast
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}

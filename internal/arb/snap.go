@@ -3,6 +3,7 @@ package arb
 import (
 	"fmt"
 
+	"gpunoc/internal/packet"
 	"gpunoc/internal/snap"
 )
 
@@ -47,15 +48,36 @@ func Restore(d *snap.Decoder, a Arbiter) error {
 	}
 	switch v := a.(type) {
 	case *roundRobin:
-		v.last = d.Int()
+		last := d.Int()
+		if err := checkInput("round-robin last grant", last, v.n); err != nil {
+			return err
+		}
+		v.last = last
 	case *coarseRR:
-		v.rr.last = d.Int()
-		v.holding = d.Bool()
-		v.heldIn = d.Int()
-		v.heldTag.SM = d.Int()
-		v.heldTag.Warp = d.Int()
-		v.heldTag.Op = d.U64()
-		v.heldUsed = d.Int()
+		last := d.Int()
+		holding := d.Bool()
+		heldIn := d.Int()
+		tag := packet.WarpTag{SM: d.Int(), Warp: d.Int(), Op: d.U64()}
+		heldUsed := d.Int()
+		if err := checkInput("coarse round-robin last grant", last, v.rr.n); err != nil {
+			return err
+		}
+		if err := checkInput("coarse round-robin held input", heldIn, v.rr.n); err != nil {
+			return err
+		}
+		if heldUsed < 0 {
+			return snap.Corruptf("coarse round-robin hold count %d is negative", heldUsed)
+		}
+		v.rr.last, v.holding, v.heldIn, v.heldTag, v.heldUsed = last, holding, heldIn, tag, heldUsed
+	}
+	return nil
+}
+
+// checkInput rejects a decoded input index outside [0,n): the modulo-free
+// round-robin scan would index out of range on it.
+func checkInput(what string, i, n int) error {
+	if i < 0 || i >= n {
+		return snap.Corruptf("%s %d outside [0,%d)", what, i, n)
 	}
 	return nil
 }

@@ -53,9 +53,16 @@ type Link struct {
 	arbiter arb.Arbiter
 	queues  []ring.Buffer[queued]
 	pipe    ring.Buffer[inflight] // FIFO: serialization end times are monotonic
-	heads   []*packet.Packet      // reused arbitration scratch, one slot per input
 	out     Deliver
 	wake    func() // activity wake edge (see SetWaker); nil outside a scheduler
+
+	// heads[i] is the front packet of queues[i], nil when that queue is
+	// empty, and loaded counts the non-nil heads. Enqueue, the grant's Pop
+	// and Restore keep both current, so an arbitration round hands the
+	// arbiter heads without rescanning every queue. Derived state: never
+	// encoded in a snapshot.
+	heads  []*packet.Packet
+	loaded int
 
 	lastEnd uint64 // scaled (cycles*num) time the channel frees up
 	stats   Stats
@@ -150,8 +157,14 @@ func (l *Link) Enqueue(now uint64, in int, p *packet.Packet) {
 	if in < 0 || in >= len(l.queues) {
 		panic(fmt.Sprintf("link %s: enqueue on input %d of %d", l.name, in, len(l.queues)))
 	}
-	l.queues[in].Push(queued{p: p, enqueued: now})
-	if n := l.queues[in].Len(); n > l.stats.MaxQueueLen {
+	q := &l.queues[in]
+	q.Push(queued{p: p, enqueued: now})
+	n := q.Len()
+	if n == 1 {
+		l.heads[in] = p
+		l.loaded++
+	}
+	if n > l.stats.MaxQueueLen {
 		l.stats.MaxQueueLen = n
 	}
 	if l.pr != nil {
@@ -168,17 +181,7 @@ func (l *Link) QueueLen(in int) int { return l.queues[in].Len() }
 // Idle reports whether the link holds no queued or in-flight packets. An
 // idle link's Tick is a no-op, so the scheduler may park it until the next
 // Enqueue.
-func (l *Link) Idle() bool {
-	if l.pipe.Len() > 0 {
-		return false
-	}
-	for i := range l.queues {
-		if l.queues[i].Len() > 0 {
-			return false
-		}
-	}
-	return true
-}
+func (l *Link) Idle() bool { return l.pipe.Len() == 0 && l.loaded == 0 }
 
 // Tick advances the link by one cycle: due packets are delivered downstream,
 // then as many new grants as the channel bandwidth allows within this cycle
@@ -197,24 +200,20 @@ func (l *Link) Tick(now uint64) {
 	if l.lastEnd < nowScaled {
 		l.lastEnd = nowScaled // bandwidth does not accumulate while idle
 	}
-	for l.lastEnd < (now+1)*l.num {
-		loaded := false
-		for i := range l.queues {
-			if l.queues[i].Len() > 0 {
-				l.heads[i] = l.queues[i].Front().p
-				loaded = true
-			} else {
-				l.heads[i] = nil
-			}
-		}
-		if !loaded {
-			return
-		}
+	end := (now + 1) * l.num
+	for l.lastEnd < end && l.loaded > 0 {
 		g := l.arbiter.Grant(now, l.heads)
 		if g < 0 {
 			return // SRR idle slot: bandwidth burns, nothing moves
 		}
-		item := l.queues[g].Pop()
+		q := &l.queues[g]
+		item := q.Pop()
+		if q.Len() > 0 {
+			l.heads[g] = q.Front().p
+		} else {
+			l.heads[g] = nil
+			l.loaded--
+		}
 
 		flits := uint64(item.p.Flits())
 		l.lastEnd += flits * l.den

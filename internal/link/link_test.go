@@ -19,7 +19,7 @@ func (c *capture) deliver(now uint64, p *packet.Packet) {
 	c.times = append(c.times, now)
 }
 
-func newRR(t *testing.T, n int) arb.Arbiter {
+func newRR(t testing.TB, n int) arb.Arbiter {
 	t.Helper()
 	a, err := arb.New(config.ArbRR, n, 32, packet.DataFlits)
 	if err != nil {

@@ -36,8 +36,9 @@ func (l *Link) Snapshot(e *snap.Encoder) {
 }
 
 // Restore reads state written by Snapshot into a link built from the same
-// configuration. Probe gauges are not re-driven here — the probe registry
-// restores its instrument values wholesale.
+// configuration and rebuilds the derived head-of-line slots from the decoded
+// queues. Probe gauges are not re-driven here — the probe registry restores
+// its instrument values wholesale.
 func (l *Link) Restore(d *snap.Decoder) error {
 	if n := d.Int(); d.Err() == nil && n != len(l.queues) {
 		return snap.Corruptf("link %s: snapshot has %d input queues, link has %d", l.name, n, len(l.queues))
@@ -60,6 +61,14 @@ func (l *Link) Restore(d *snap.Decoder) error {
 	for j := 0; j < np; j++ {
 		p := packet.Decode(d)
 		l.pipe.Push(inflight{p: p, deliverAt: d.U64()})
+	}
+	l.loaded = 0
+	for i := range l.queues {
+		l.heads[i] = nil
+		if l.queues[i].Len() > 0 {
+			l.heads[i] = l.queues[i].Front().p
+			l.loaded++
+		}
 	}
 	l.lastEnd = d.U64()
 	l.stats.Packets = d.U64()

@@ -10,6 +10,10 @@ package ring
 // Buffer is a FIFO queue over a circular backing array. The zero value is an
 // empty, ready-to-use queue. It is not safe for concurrent use; the
 // simulation engine drives all queues from one goroutine.
+//
+// The backing array's length is always zero or a power of two (grow only
+// makes 8, 16, 32, ...), so a slot index wraps with & (len(buf)-1) instead
+// of a division.
 type Buffer[T any] struct {
 	buf  []T
 	head int
@@ -19,7 +23,12 @@ type Buffer[T any] struct {
 // Len returns the number of queued elements.
 func (b *Buffer[T]) Len() int { return b.n }
 
-// grow doubles the backing array (minimum 8) and linearizes the contents.
+// slot maps the i-th position from the front to its backing-array index. It
+// relies on the power-of-two length invariant and a non-empty buf.
+func (b *Buffer[T]) slot(i int) int { return (b.head + i) & (len(b.buf) - 1) }
+
+// grow doubles the backing array (minimum 8, so the length stays a power of
+// two) and linearizes the contents.
 func (b *Buffer[T]) grow() {
 	c := len(b.buf) * 2
 	if c < 8 {
@@ -27,7 +36,7 @@ func (b *Buffer[T]) grow() {
 	}
 	nb := make([]T, c)
 	for i := 0; i < b.n; i++ {
-		nb[i] = b.buf[(b.head+i)%len(b.buf)]
+		nb[i] = b.buf[b.slot(i)]
 	}
 	b.buf, b.head = nb, 0
 }
@@ -37,7 +46,7 @@ func (b *Buffer[T]) Push(v T) {
 	if b.n == len(b.buf) {
 		b.grow()
 	}
-	b.buf[(b.head+b.n)%len(b.buf)] = v
+	b.buf[b.slot(b.n)] = v
 	b.n++
 }
 
@@ -56,7 +65,7 @@ func (b *Buffer[T]) At(i int) *T {
 	if i < 0 || i >= b.n {
 		panic("ring: index out of range")
 	}
-	return &b.buf[(b.head+i)%len(b.buf)]
+	return &b.buf[b.slot(i)]
 }
 
 // Pop removes and returns the oldest element. The vacated slot is zeroed so
@@ -68,7 +77,7 @@ func (b *Buffer[T]) Pop() T {
 	var zero T
 	v := b.buf[b.head]
 	b.buf[b.head] = zero
-	b.head = (b.head + 1) % len(b.buf)
+	b.head = b.slot(1)
 	b.n--
 	return v
 }
@@ -80,21 +89,21 @@ func (b *Buffer[T]) RemoveAt(i int) T {
 	if i < 0 || i >= b.n {
 		panic("ring: index out of range")
 	}
-	v := b.buf[(b.head+i)%len(b.buf)]
+	v := b.buf[b.slot(i)]
 	var zero T
 	if i < b.n-i-1 {
 		// Shift the front segment [0, i) back by one.
 		for j := i; j > 0; j-- {
-			b.buf[(b.head+j)%len(b.buf)] = b.buf[(b.head+j-1)%len(b.buf)]
+			b.buf[b.slot(j)] = b.buf[b.slot(j-1)]
 		}
 		b.buf[b.head] = zero
-		b.head = (b.head + 1) % len(b.buf)
+		b.head = b.slot(1)
 	} else {
 		// Shift the tail segment (i, n) forward by one.
 		for j := i; j < b.n-1; j++ {
-			b.buf[(b.head+j)%len(b.buf)] = b.buf[(b.head+j+1)%len(b.buf)]
+			b.buf[b.slot(j)] = b.buf[b.slot(j+1)]
 		}
-		b.buf[(b.head+b.n-1)%len(b.buf)] = zero
+		b.buf[b.slot(b.n-1)] = zero
 	}
 	b.n--
 	return v

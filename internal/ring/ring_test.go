@@ -111,6 +111,74 @@ func TestRemoveAtMatchesSlice(t *testing.T) {
 	}
 }
 
+// TestWrapAroundAfterGrowsWithRemoveAt grows the ring several times from a
+// non-zero head, then walks the head across the end of the (power-of-two)
+// backing array many times while removing from both sides of the middle,
+// checking every element against a reference slice.
+func TestWrapAroundAfterGrowsWithRemoveAt(t *testing.T) {
+	var b Buffer[int]
+	var ref []int
+	next := 0
+	push := func() {
+		b.Push(next)
+		ref = append(ref, next)
+		next++
+	}
+	check := func(step string) {
+		t.Helper()
+		if c := len(b.buf); c&(c-1) != 0 {
+			t.Fatalf("%s: capacity %d not a power of two", step, c)
+		}
+		if b.Len() != len(ref) {
+			t.Fatalf("%s: Len = %d, want %d", step, b.Len(), len(ref))
+		}
+		for i, want := range ref {
+			if got := *b.At(i); got != want {
+				t.Fatalf("%s: At(%d) = %d, want %d", step, i, got, want)
+			}
+		}
+	}
+	// Offset the head, then grow 8 -> 16 -> 32 -> 64 around it.
+	for i := 0; i < 5; i++ {
+		push()
+	}
+	for i := 0; i < 3; i++ {
+		b.Pop()
+		ref = ref[1:]
+	}
+	for len(b.buf) < 64 {
+		push()
+		check("grow")
+	}
+	if len(b.buf) != 64 {
+		t.Fatalf("capacity %d after grows, want 64", len(b.buf))
+	}
+	// Steady state at a fixed size: the head wraps the array repeatedly.
+	for round := 0; round < 200; round++ {
+		push()
+		push()
+		i := 1 + round%3 // front side: shifts the front segment
+		if got, want := b.RemoveAt(i), ref[i]; got != want {
+			t.Fatalf("round %d: RemoveAt(%d) = %d, want %d", round, i, got, want)
+		}
+		ref = append(ref[:i], ref[i+1:]...)
+		j := len(ref) - 2 // back side: shifts the tail segment
+		if got, want := b.RemoveAt(j), ref[j]; got != want {
+			t.Fatalf("round %d: RemoveAt(%d) = %d, want %d", round, j, got, want)
+		}
+		ref = append(ref[:j], ref[j+1:]...)
+		push()
+		if got, want := b.Pop(), ref[0]; got != want {
+			t.Fatalf("round %d: Pop = %d, want %d", round, got, want)
+		}
+		ref = ref[1:]
+		check("steady")
+	}
+	if len(b.buf) != 64 {
+		t.Fatalf("capacity grew to %d at a steady length", len(b.buf))
+	}
+}
+
 func TestPopZeroesSlot(t *testing.T) {
 	var b Buffer[*int]
 	v := new(int)

@@ -59,6 +59,8 @@ type SM struct {
 	l1Hits   ring.Buffer[l1Hit] // locally-completing load hits (FIFO: fixed latency)
 	l1HitLat uint64
 
+	lines []uint64 // coalescer output scratch, SIMTWidth entries, reused per instruction
+
 	// Counters.
 	injected, replies, opsCompleted uint64
 
@@ -87,6 +89,9 @@ func New(id int, cfg *config.Config, clocks *clockreg.Bank, inject Inject) (*SM,
 	if id < 0 || id >= cfg.NumSMs() {
 		return nil, fmt.Errorf("sm: id %d out of range [0,%d)", id, cfg.NumSMs())
 	}
+	if cfg.SIMTWidth <= 0 {
+		return nil, fmt.Errorf("sm %d: non-positive SIMT width %d", id, cfg.SIMTWidth)
+	}
 	l1, err := cache.New(cfg.L1SizeBytes, cfg.L1LineBytes, cfg.L1Ways, 16)
 	if err != nil {
 		return nil, err
@@ -101,6 +106,7 @@ func New(id int, cfg *config.Config, clocks *clockreg.Bank, inject Inject) (*SM,
 		l1HitLat: 28,
 		rng:      rand.New(src),
 		src:      src,
+		lines:    make([]uint64, cfg.SIMTWidth),
 	}
 	if r := cfg.Probes; r != nil {
 		prefix := fmt.Sprintf("sm%d", id)
@@ -268,10 +274,11 @@ func (s *SM) step(now uint64, r *resident) {
 	op := r.prog.Step(&ctx)
 	switch op.Kind {
 	case device.OpMem:
-		lines, err := warp.Coalesce(op.Mem, s.cfg.SIMTWidth, s.cfg.L2LineBytes)
+		n, err := warp.CoalesceInto(s.lines, op.Mem, s.cfg.SIMTWidth, s.cfg.L2LineBytes)
 		if err != nil {
 			panic(fmt.Sprintf("sm %d: bad mem op: %v", s.id, err))
 		}
+		lines := s.lines[:n]
 		if len(lines) == 0 {
 			// No active lanes: a one-cycle no-op.
 			r.w.State = warp.WaitingCycle

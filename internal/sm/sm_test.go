@@ -56,6 +56,11 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(cfg.NumSMs(), &cfg, b, func(uint64, *packet.Packet) {}); err == nil {
 		t.Error("out-of-range id should fail")
 	}
+	bad := cfg
+	bad.SIMTWidth = -1 // would size the coalescer buffer negatively
+	if _, err := New(0, &bad, b, func(uint64, *packet.Packet) {}); err == nil {
+		t.Error("negative SIMT width should fail")
+	}
 }
 
 func TestAddWarpLimits(t *testing.T) {

@@ -34,39 +34,58 @@ type MemOp struct {
 }
 
 // Coalesce computes the unique line addresses touched by op, in lane order.
-// This is the number of NoC request packets the op generates.
+// This is the number of NoC request packets the op generates. It allocates
+// its result; the SM's per-instruction path uses CoalesceInto instead.
 func Coalesce(op MemOp, simtWidth, lineBytes int) ([]uint64, error) {
-	if simtWidth <= 0 {
+	var dst []uint64
+	if simtWidth > 0 {
+		dst = make([]uint64, simtWidth)
+	}
+	n, err := CoalesceInto(dst, op, simtWidth, lineBytes)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	return dst[:n], nil
+}
+
+// CoalesceInto writes the unique line addresses touched by op, in lane
+// order, to dst[:n] and returns n. dst must hold at least simtWidth entries.
+// Duplicates are found by scanning the lines already written, newest first
+// (neighbouring lanes usually share a line), so there is no map and nothing
+// is allocated.
+func CoalesceInto(dst []uint64, op MemOp, simtWidth, lineBytes int) (int, error) {
+	if simtWidth <= 0 || len(dst) < simtWidth {
 		//lint:allow hotalloc error path, config is validated before ticking
-		return nil, fmt.Errorf("warp: non-positive SIMT width %d", simtWidth)
+		return 0, fmt.Errorf("warp: SIMT width %d not positive or above the %d-line destination", simtWidth, len(dst))
 	}
 	if lineBytes <= 0 || lineBytes&(lineBytes-1) != 0 {
 		//lint:allow hotalloc error path, config is validated before ticking
-		return nil, fmt.Errorf("warp: line size %d not a positive power of two", lineBytes)
+		return 0, fmt.Errorf("warp: line size %d not a positive power of two", lineBytes)
 	}
 	lanes := op.Lanes
 	switch {
 	case lanes == LanesNone:
-		return nil, nil
+		return 0, nil
 	case lanes == 0:
 		lanes = simtWidth
 	case lanes < 0 || lanes > simtWidth:
 		//lint:allow hotalloc error path, ops are validated at construction
-		return nil, fmt.Errorf("warp: %d active lanes out of range for SIMT width %d", lanes, simtWidth)
+		return 0, fmt.Errorf("warp: %d active lanes out of range for SIMT width %d", lanes, simtWidth)
 	}
 	mask := ^uint64(lineBytes - 1)
-	//lint:allow hotalloc per-instruction coalescing scratch; buffer reuse needs an API change
-	seen := make(map[uint64]struct{}, lanes)
-	var lines []uint64
+	n := 0
+next:
 	for lane := 0; lane < lanes; lane++ {
 		la := (op.Base + uint64(lane)*op.StrideBytes) & mask
-		if _, ok := seen[la]; !ok {
-			seen[la] = struct{}{}
-			//lint:allow hotalloc per-instruction result slice; buffer reuse needs an API change
-			lines = append(lines, la)
+		for j := n - 1; j >= 0; j-- {
+			if dst[j] == la {
+				continue next
+			}
 		}
+		dst[n] = la
+		n++
 	}
-	return lines, nil
+	return n, nil
 }
 
 // UncoalescedOp builds a MemOp whose 32 lanes each touch a distinct cache

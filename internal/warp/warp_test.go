@@ -1,6 +1,7 @@
 package warp
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -159,5 +160,101 @@ func TestQuickLineStrideBijective(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// mapCoalesce is the map-based coalescer CoalesceInto replaced: lane order,
+// first occurrence kept, duplicates found through a set.
+func mapCoalesce(op MemOp, simtWidth, lineBytes int) []uint64 {
+	lanes := op.Lanes
+	switch lanes {
+	case LanesNone:
+		return nil
+	case 0:
+		lanes = simtWidth
+	}
+	mask := ^uint64(lineBytes - 1)
+	seen := make(map[uint64]struct{}, lanes)
+	var lines []uint64
+	for lane := 0; lane < lanes; lane++ {
+		la := (op.Base + uint64(lane)*op.StrideBytes) & mask
+		if _, ok := seen[la]; !ok {
+			seen[la] = struct{}{}
+			lines = append(lines, la)
+		}
+	}
+	return lines
+}
+
+// TestCoalesceMatchesMapReference pins Coalesce's output, line for line, to
+// the map-based coalescer for coalesced, uncoalesced, partial and
+// overlapping-stride ops, including strides whose lanes revisit a line
+// after touching others (so a duplicate is not always the previous line).
+func TestCoalesceMatchesMapReference(t *testing.T) {
+	partial8, err := PartialOp(0x4000, false, 32, 8, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := map[string]MemOp{
+		"coalesced":          CoalescedOp(0x1000, true),
+		"uncoalesced":        UncoalescedOp(0x2000, false, 32),
+		"partial-8":          partial8,
+		"partial-lanes":      {Base: 0x3010, StrideBytes: 8, Lanes: 13},
+		"word-stride":        {Base: 0, StrideBytes: 4},
+		"overlap-48":         {Base: 0x10, StrideBytes: 48},
+		"overlap-16-unalign": {Base: 0x1f, StrideBytes: 16},
+		"alternating":        {Base: 0x40, StrideBytes: 1 << 63},
+		"wrapping":           {Base: ^uint64(0) - 100, StrideBytes: 24},
+		"none":               {Lanes: LanesNone},
+	}
+	for name, op := range ops {
+		got, err := Coalesce(op, 32, 32)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := mapCoalesce(op, 32, 32); !slices.Equal(got, want) {
+			t.Errorf("%s: Coalesce = %#x, want %#x", name, got, want)
+		}
+	}
+	f := func(base, stride uint64, lanesRaw uint8, lineShift uint8) bool {
+		op := MemOp{Base: base, StrideBytes: stride % 256, Lanes: int(lanesRaw) % 33}
+		if lanesRaw&0x80 != 0 {
+			op.StrideBytes = stride // huge strides wrap the address space
+		}
+		line := 1 << (lineShift % 8)
+		got, err := Coalesce(op, 32, line)
+		return err == nil && slices.Equal(got, mapCoalesce(op, 32, line))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCoalesceIntoDoesNotAllocate pins the SM's per-instruction path: with a
+// caller-owned buffer, coalescing allocates nothing.
+func TestCoalesceIntoDoesNotAllocate(t *testing.T) {
+	dst := make([]uint64, 32)
+	ops := []MemOp{
+		UncoalescedOp(0x2000, false, 32),
+		CoalescedOp(0x1000, true),
+		{Base: 0x10, StrideBytes: 48},
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, op := range ops {
+			if _, err := CoalesceInto(dst, op, 32, 32); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("CoalesceInto allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestCoalesceIntoRejectsShortBuffer: a destination shorter than the SIMT
+// width could not hold an uncoalesced op's lines.
+func TestCoalesceIntoRejectsShortBuffer(t *testing.T) {
+	if _, err := CoalesceInto(make([]uint64, 31), CoalescedOp(0, false), 32, 32); err == nil {
+		t.Error("31-entry destination for SIMT width 32 should fail")
 	}
 }
